@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
       sim.cost = CostModel::paper("laplace");
       const SimResult r = eval.simulate(e.sources, e.targets, sim);
       t[i] = r.virtual_time;
-      gb[i] = static_cast<double>(r.bytes_sent) / 1e9;
+      gb[i] = static_cast<double>(r.comm.bytes) / 1e9;
       ++i;
     }
     std::printf("%8d %12s | %14.4f %12.3f | %14.4f %12.3f %9.1f%%\n", cores,

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -86,40 +87,26 @@ inline void add_trace_out_flag(Cli& cli) {
                "write a Chrome/Perfetto trace of the run to FILE");
 }
 
-/// Exports a run as a Chrome trace when `--trace-out` was given.  Returns
-/// false only when the flag was set and the export failed.
-inline bool export_trace_if_requested(const Cli& cli, const SimResult& r,
+/// Exports a run as a Chrome trace when `--trace-out` was given: a
+/// SimResult in virtual time, or an EvalResult from the threaded executor
+/// in wall time.  Returns false only when the flag was set and the export
+/// failed.
+template <class Result>
+inline bool export_trace_if_requested(const Cli& cli, const Result& r,
                                       int cores_per_locality) {
   const std::string path = cli.str("trace-out");
   if (path.empty()) return true;
   ChromeTraceOptions opt;
   opt.cores_per_locality = cores_per_locality;
-  opt.makespan = r.virtual_time;
-  opt.sim = true;
+  if constexpr (std::is_same_v<Result, SimResult>) {
+    opt.makespan = r.virtual_time;
+    opt.sim = true;
+  } else {
+    opt.makespan = r.makespan;
+  }
   opt.dag_edges = r.dag_edges;
   opt.counters = r.counters.empty() ? nullptr : &r.counters;
-  const bool ok =
-      trace_export_chrome(path, r.trace, r.comm_trace, r.instants, opt);
-  std::printf(ok ? "\ntrace written to %s (open in ui.perfetto.dev or run "
-                   "tools/trace_report)\n"
-                 : "\nERROR: could not write trace to %s\n",
-              path.c_str());
-  return ok;
-}
-
-/// Wall-clock-run overload (EvalResult from the threaded executor).
-inline bool export_trace_if_requested(const Cli& cli, const EvalResult& r,
-                                      int cores_per_locality) {
-  const std::string path = cli.str("trace-out");
-  if (path.empty()) return true;
-  ChromeTraceOptions opt;
-  opt.cores_per_locality = cores_per_locality;
-  opt.makespan = r.makespan;
-  opt.sim = false;
-  opt.dag_edges = r.dag_edges;
-  opt.counters = r.counters.empty() ? nullptr : &r.counters;
-  const bool ok =
-      trace_export_chrome(path, r.trace, r.comm_trace, r.instants, opt);
+  const bool ok = trace_export_chrome(path, r.trace, opt);
   std::printf(ok ? "\ntrace written to %s (open in ui.perfetto.dev or run "
                    "tools/trace_report)\n"
                  : "\nERROR: could not write trace to %s\n",

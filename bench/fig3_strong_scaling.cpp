@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
       const double eff = speedup / (cores / 32.0);
       std::printf("  %8d %12.4f %10.2f %11.1f%% %12.3f\n", cores,
                   r.virtual_time, speedup, 100.0 * eff,
-                  static_cast<double>(r.bytes_sent) / 1e9);
+                  static_cast<double>(r.comm.bytes) / 1e9);
     }
   }
   std::printf("\nNote: the knee moves left relative to the paper when --n is "

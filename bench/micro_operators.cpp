@@ -15,6 +15,8 @@
 
 #include "common.hpp"
 #include "kernels/kernel.hpp"
+#include "kernels/laplace.hpp"
+#include "kernels/yukawa.hpp"
 #include "kernels/simd/simd.hpp"
 #include "support/rng.hpp"
 
@@ -86,19 +88,21 @@ void BM_M2L(benchmark::State& state, const std::string& k) {
     benchmark::DoNotOptimize(out.data());
   }
 }
-// The O(p^4) reference path, kept for the rotation-vs-naive comparison
-// (Table II note in EXPERIMENTS.md).  The fixture kernel is shared, so the
-// mode is flipped around the timing loop and restored afterwards.
+// The dense reference path, kept for the rotation-vs-naive comparison
+// (Table II note in EXPERIMENTS.md).
 void BM_M2L_naive(benchmark::State& state, const std::string& k) {
   auto& f = fx(k);
   CoeffVec out(f.kernel->l_count(kLevel), cdouble{});
-  const M2LMode prev = f.kernel->m2l_mode();
-  f.kernel->set_m2l_mode(M2LMode::kNaive);
+  const auto* lap = dynamic_cast<const LaplaceKernel*>(f.kernel.get());
+  const auto* yuk = dynamic_cast<const YukawaKernel*>(f.kernel.get());
   for (auto _ : state) {
-    f.kernel->m2l_acc(f.m, f.cs, f.ct, kLevel, out);
+    if (lap != nullptr) {
+      lap->m2l_naive(f.m, f.cs, f.ct, kLevel, out);
+    } else {
+      yuk->m2l_naive(f.m, f.cs, f.ct, kLevel, out);
+    }
     benchmark::DoNotOptimize(out.data());
   }
-  f.kernel->set_m2l_mode(prev);
 }
 void BM_M2T(benchmark::State& state, const std::string& k) {
   auto& f = fx(k);

@@ -50,8 +50,8 @@ int main(int argc, char** argv) {
   std::printf("DAG: %zu nodes, %zu edges; %llu parcels, %.2f MB between "
               "localities\n",
               result.dag.total_nodes, result.dag.total_edges,
-              static_cast<unsigned long long>(result.parcels_sent),
-              static_cast<double>(result.bytes_sent) / 1e6);
+              static_cast<unsigned long long>(result.comm.parcels),
+              static_cast<double>(result.comm.bytes) / 1e6);
 
   // 4. Verify a sample against direct summation.
   const std::size_t sample = std::min<std::size_t>(200, n);

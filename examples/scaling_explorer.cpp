@@ -81,8 +81,8 @@ int main(int argc, char** argv) {
               100.0 * static_cast<double>(r.dag.remote_edges) /
                   static_cast<double>(std::max<std::size_t>(1, r.dag.total_edges)));
   std::printf("  network:                   %.2f GB in %llu parcels\n",
-              static_cast<double>(r.bytes_sent) / 1e9,
-              static_cast<unsigned long long>(r.parcels_sent));
+              static_cast<double>(r.comm.bytes) / 1e9,
+              static_cast<unsigned long long>(r.comm.parcels));
 
   const UtilizationProfile u =
       utilization(r.trace, 0.0, r.virtual_time, 20, r.total_cores);

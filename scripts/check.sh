@@ -83,7 +83,7 @@ echo "== ThreadSanitizer build (runtime stress tests) =="
 cmake -B build-tsan -S . -DAMTFMM_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$JOBS" --target \
   ws_deque_test executor_test coalescer_test trace_test gas_test \
-  counters_test net_frame_test net_transport_test
+  counters_test net_frame_test net_transport_test flight_recorder_test
 ./build-tsan/tests/runtime/ws_deque_test
 ./build-tsan/tests/runtime/executor_test
 ./build-tsan/tests/runtime/coalescer_test
@@ -92,6 +92,7 @@ cmake --build build-tsan -j"$JOBS" --target \
 ./build-tsan/tests/runtime/counters_test
 ./build-tsan/tests/runtime/net_frame_test
 ./build-tsan/tests/runtime/net_transport_test
+./build-tsan/tests/runtime/flight_recorder_test
 
 echo "== AddressSanitizer build + full test suite =="
 cmake -B build-asan -S . -DAMTFMM_SANITIZE=address >/dev/null

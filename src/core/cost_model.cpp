@@ -84,9 +84,8 @@ CostModel CostModel::measured(const Kernel& kernel, int level,
          CoeffVec up(kernel.m_count(level - 1));
          kernel.m2m_acc(mm, cs, cs + Vec3{w / 2, w / 2, w / 2}, level, up);
        }));
-  // ct - cs is the integer offset (2, 0, 0), so this times whichever M2L
-  // path the kernel is configured for (rotation by default, naive when the
-  // kernel's m2l_mode says so).
+  // ct - cs is the integer offset (2, 0, 0), so this times the rotation
+  // M2L path.
   base(Operator::kM2L,
        time_op([&] { kernel.m2l_acc(mm, cs, ct, level, ll); }));
   per(Operator::kM2T, time_op([&] {

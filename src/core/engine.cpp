@@ -142,7 +142,9 @@ double DagEngine::execute(std::span<const double> charges,
     ex_.drain();
   }
   const double t0 = ex_.now();
+  ex_.hold_foreign_spawns(true);
   seed();
+  ex_.hold_foreign_spawns(false);
   ex_.drain();
   gas_allocs_epoch_ = gas_.total_allocs() - allocs_before;
   ++epoch_;

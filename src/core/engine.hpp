@@ -48,7 +48,7 @@ struct EngineOptions {
 ///
 /// No pointer crosses a locality boundary: every remote byte is serialized
 /// into the parcel buffer and deserialized at the destination, so
-/// Executor::bytes_sent() equals the true serialized wire bytes
+/// Executor::comm_stats().bytes equals the true serialized wire bytes
 /// (wire_bytes() cross-checks this).  In kCostOnly mode the identical
 /// LCO/parcel dataflow runs with 8-byte dependency records and modelled
 /// task durations; parcel sizes come from the same wire-format arithmetic,
@@ -89,8 +89,8 @@ class DagEngine {
   std::uint64_t gas_allocs_last_epoch() const { return gas_allocs_epoch_; }
 
   /// Serialized bytes of every parcel handed to Executor::send during the
-  /// last execute(); equals Executor::bytes_sent() when the engine is the
-  /// only sender.
+  /// last execute(); equals the executor's comm_stats().bytes when the
+  /// engine is the only sender.
   std::uint64_t wire_bytes() const {
     // relaxed-ok: statistic; callers read it after drain() quiesces workers.
     return wire_bytes_.load(std::memory_order_relaxed);

@@ -14,7 +14,6 @@ Evaluator::Evaluator(std::unique_ptr<Kernel> kernel, EvalConfig cfg)
   if (cfg_.threshold < 1 || cfg_.digits < 1) {
     throw config_error("threshold and digits must be positive");
   }
-  kernel_->set_m2l_mode(cfg_.m2l_mode);
 }
 
 Evaluator::~Evaluator() = default;
@@ -26,19 +25,6 @@ EvalResult Evaluator::evaluate(std::span<const Vec3> sources,
   // One-shot: a pipeline that lives for a single epoch.
   EvalPipeline pipeline(*kernel_, cfg_, sources, targets);
   return pipeline.evaluate(charges);
-}
-
-void Evaluator::prepare(std::span<const Vec3> sources,
-                        std::span<const Vec3> targets) {
-  pipeline_ =
-      std::make_unique<EvalPipeline>(*kernel_, cfg_, sources, targets);
-}
-
-EvalResult Evaluator::evaluate_prepared(std::span<const double> charges) {
-  if (!pipeline_) {
-    throw config_error("evaluate_prepared() requires a prior prepare()");
-  }
-  return pipeline_->evaluate(charges);
 }
 
 EvalResult Evaluator::evaluate_distributed(net::NetExecutor& ex,
@@ -73,15 +59,11 @@ SimResult Evaluator::simulate(std::span<const Vec3> sources,
   opt.split_priority = sim.split_priority;
   DagEngine engine(p.dag, p.tree, *kernel_, ex, opt);
   out.virtual_time = engine.execute({}, {});
-  out.bytes_sent = ex.bytes_sent();
-  out.parcels_sent = ex.parcels_sent();
   out.wire_bytes = engine.wire_bytes();
-  AMTFMM_ASSERT(out.wire_bytes == out.bytes_sent);
   out.comm = ex.comm_stats();
+  AMTFMM_ASSERT(out.wire_bytes == out.comm.bytes);
   if (sim.trace) {
     out.trace = ex.trace().collect();
-    out.comm_trace = ex.trace().collect_comm();
-    out.instants = ex.trace().collect_instants();
     out.dag_edges = flatten_dag_edges(p.dag);
   }
   if (sim.counters) out.counters = ex.counters().snapshot();

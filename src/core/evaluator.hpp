@@ -12,8 +12,6 @@ namespace net {
 class NetExecutor;
 }
 
-class EvalPipeline;
-
 /// User-facing configuration.  Everything here is a plain parameter — the
 /// DASHMM design point the paper emphasizes: the method, kernel, accuracy
 /// and data distribution vary freely while the parallelization underneath
@@ -28,7 +26,6 @@ struct EvalConfig {
   int cores_per_locality = 2;
   SchedPolicy policy = SchedPolicy::kWorkStealing;
   bool split_priority = false;  ///< binary priority for the upward pass
-  M2LMode m2l_mode = M2LMode::kRotation;  ///< rotation (O(p^3)) or naive M2L
   CoalesceConfig coalesce{};  ///< per-locality parcel coalescing
   bool trace = false;
   bool counters = false;  ///< runtime counter registry (see counters.hpp)
@@ -40,17 +37,15 @@ struct EvalResult {
   double makespan = 0.0;           ///< DAG evaluation time (seconds)
   double setup_time = 0.0;         ///< tree + lists + DAG construction
   DagStats dag;
+  /// The trace stream (spans, instants, wire records) sorted by t0; filled
+  /// when trace is on.
   std::vector<TraceEvent> trace;
-  std::vector<CommEvent> comm_trace;
-  std::vector<InstantEvent> instants;
   /// DAG edges flattened as [src0, dst0, src1, dst1, ...] in edge-id order
-  /// (so TraceEvent::arg indexes pair `arg`).  Filled when trace is on;
+  /// (so a span's arg indexes pair `arg`).  Filled when trace is on;
   /// embedded in Chrome exports for the critical-path analyzer.
   std::vector<std::uint32_t> dag_edges;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t parcels_sent = 0;
   /// Serialized bytes of every remote parcel as counted by the engine's
-  /// wire format; always equals bytes_sent (asserted).
+  /// wire format; always equals comm.bytes (asserted).
   std::uint64_t wire_bytes = 0;
   CommStats comm;
   CounterSnapshot counters;  ///< filled when EvalConfig::counters is on
@@ -73,15 +68,11 @@ struct SimConfig {
 struct SimResult {
   double virtual_time = 0.0;
   DagStats dag;
-  std::vector<TraceEvent> trace;
-  std::vector<CommEvent> comm_trace;
-  std::vector<InstantEvent> instants;
+  std::vector<TraceEvent> trace;  ///< see EvalResult::trace
   /// DAG edges flattened as [src, dst, ...] in edge-id order (see
   /// EvalResult::dag_edges).
   std::vector<std::uint32_t> dag_edges;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t parcels_sent = 0;
-  /// Engine-side wire-format byte count; always equals bytes_sent.
+  /// Engine-side wire-format byte count; always equals comm.bytes.
   std::uint64_t wire_bytes = 0;
   CommStats comm;
   CounterSnapshot counters;  ///< filled when SimConfig::counters is on
@@ -99,6 +90,8 @@ struct SimResult {
 /// simulate() replays the identical DAG on the discrete-event simulator to
 /// predict time-to-solution on a virtual cluster (the Big Red II
 /// substitution of DESIGN.md).
+/// Repeated evaluation over one geometry (the paper's section IV
+/// iterative use) goes through the resident EvalPipeline instead.
 class Evaluator {
  public:
   Evaluator(std::unique_ptr<Kernel> kernel, EvalConfig cfg);
@@ -107,22 +100,6 @@ class Evaluator {
   EvalResult evaluate(std::span<const Vec3> sources,
                       std::span<const double> charges,
                       std::span<const Vec3> targets);
-
-  /// Iterative use (the opening of the paper's section IV): the FMM is
-  /// commonly evaluated many times over the same geometry with different
-  /// charges, so the tree/lists/DAG setup is built once and amortized.
-  /// prepare() fixes the ensembles; evaluate_prepared() then runs one DAG
-  /// evaluation per call, reusing every setup artifact.
-  /// Under the hood prepare() stands up a resident EvalPipeline, so every
-  /// evaluate_prepared() after the first re-arms the same GAS/LCO arena in
-  /// place (epoch reset) instead of re-instantiating it.
-  void prepare(std::span<const Vec3> sources, std::span<const Vec3> targets);
-  EvalResult evaluate_prepared(std::span<const double> charges);
-  bool prepared() const { return pipeline_ != nullptr; }
-
-  /// The resident pipeline behind prepare(), for epoch statistics and
-  /// incremental updates (null before prepare()).
-  EvalPipeline* pipeline() { return pipeline_.get(); }
 
   SimResult simulate(std::span<const Vec3> sources,
                      std::span<const Vec3> targets, const SimConfig& sim);
@@ -134,10 +111,10 @@ class Evaluator {
   /// locality count.  The returned potentials are this rank's PARTIAL
   /// result — entries for target boxes homed on other ranks are zero, so
   /// the global answer is the element-wise sum across ranks (each target
-  /// has exactly one home).  bytes_sent/wire_bytes/comm likewise cover
-  /// only this rank's sends, and wire_bytes == bytes_sent stays asserted
-  /// per rank.  EvalConfig::localities/cores_per_locality are ignored in
-  /// favor of the executor's world and pool.
+  /// has exactly one home).  wire_bytes/comm likewise cover only this
+  /// rank's sends, and wire_bytes == comm.bytes stays asserted per rank.
+  /// EvalConfig::localities/cores_per_locality are ignored in favor of the
+  /// executor's world and pool.
   EvalResult evaluate_distributed(net::NetExecutor& ex,
                                   std::span<const Vec3> sources,
                                   std::span<const double> charges,
@@ -149,7 +126,6 @@ class Evaluator {
  private:
   std::unique_ptr<Kernel> kernel_;
   EvalConfig cfg_;
-  std::unique_ptr<EvalPipeline> pipeline_;
 };
 
 /// Reference O(N^2) summation (chunked over the executor's workers); the

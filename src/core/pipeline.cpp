@@ -110,11 +110,7 @@ void EvalPipeline::rebuild() {
   snapshot_baseline();
 }
 
-void EvalPipeline::snapshot_baseline() {
-  bytes_base_ = ex_->bytes_sent();
-  parcels_base_ = ex_->parcels_sent();
-  comm_base_ = ex_->comm_stats();
-}
+void EvalPipeline::snapshot_baseline() { comm_base_ = ex_->comm_stats(); }
 
 EvalResult EvalPipeline::evaluate(std::span<const double> charges) {
   AMTFMM_ASSERT(charges.size() == model_.tree.source.num_points());
@@ -131,7 +127,7 @@ EvalResult EvalPipeline::evaluate(std::span<const double> charges) {
   }
   sorted_phi_.assign(model_.tree.target.num_points(), 0.0);
 
-  epoch_starts_.push_back(ex_->now());
+  if (cfg_.trace) epoch_starts_.push_back(ex_->now());
   out.makespan = engine_->execute(sorted_q_, sorted_phi_);
 
   const auto& tperm = model_.tree.target.original_index();
@@ -140,22 +136,18 @@ EvalResult EvalPipeline::evaluate(std::span<const double> charges) {
     out.potentials[tperm[i]] = sorted_phi_[i];
   }
 
-  out.bytes_sent = ex_->bytes_sent() - bytes_base_;
-  out.parcels_sent = ex_->parcels_sent() - parcels_base_;
   out.wire_bytes = engine_->wire_bytes();
+  out.comm = diff_comm(ex_->comm_stats(), comm_base_);
   // Per-epoch form of the transport identity: this epoch serialized
   // exactly the bytes it handed to the transport (the executor counters
   // are cumulative, hence the baseline deltas).
-  AMTFMM_ASSERT(out.wire_bytes == out.bytes_sent);
-  out.comm = diff_comm(ex_->comm_stats(), comm_base_);
+  AMTFMM_ASSERT(out.wire_bytes == out.comm.bytes);
   snapshot_baseline();
 
   if (cfg_.trace) {
     // Trace buffers accumulate across epochs; exports carry the epoch
     // start times so the analyzer can cut per-epoch critical paths.
     out.trace = ex_->trace().collect();
-    out.comm_trace = ex_->trace().collect_comm();
-    out.instants = ex_->trace().collect_instants();
     out.dag_edges = flatten_dag_edges(model_.dag);
   }
   if (cfg_.counters) out.counters = ex_->counters().snapshot();

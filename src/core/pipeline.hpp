@@ -62,7 +62,7 @@ struct PipelineUpdateStats {
 ///
 ///  - the executor (worker pool or socket mesh) stays up; per-epoch
 ///    transport statistics are deltas against a baseline snapshot, so the
-///    wire_bytes == bytes_sent identity holds per epoch on a shared
+///    wire_bytes == comm.bytes identity holds per epoch on a shared
 ///    executor,
 ///  - the DagEngine is resident: epoch 1 instantiates the GAS arena, every
 ///    later epoch re-arms the same LCOs in place and replays the leaf
@@ -128,8 +128,9 @@ class EvalPipeline {
   std::size_t gas_objects_on(std::uint32_t locality) const;
   /// Full rebuilds forced by structure-changing updates.
   std::uint64_t rebuilds() const { return rebuilds_; }
-  /// Executor-clock start time of each epoch (for multi-epoch trace
-  /// exports: ChromeTraceOptions::epochs).
+  /// Executor-clock start time of each traced epoch (for multi-epoch
+  /// trace exports: ChromeTraceOptions::epochs); empty when tracing is
+  /// off, so an untraced resident pipeline does not grow.
   const std::vector<double>& epoch_start_times() const {
     return epoch_starts_;
   }
@@ -153,10 +154,8 @@ class EvalPipeline {
   double setup_seconds_ = 0.0;
   std::uint64_t rebuilds_ = 0;
   std::vector<double> epoch_starts_;
-  /// Per-epoch transport baselines (the executor's counters are
+  /// Per-epoch transport baseline (the executor's counters are
   /// cumulative; the engine's wire count is per-execute).
-  std::uint64_t bytes_base_ = 0;
-  std::uint64_t parcels_base_ = 0;
   CommStats comm_base_;
 };
 

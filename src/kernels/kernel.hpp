@@ -31,19 +31,6 @@ enum class Operator {
 inline constexpr int kNumOperators = 11;
 const char* to_string(Operator op);
 
-/// M2L evaluation strategy.  kRotation is the default: rotate the multipole
-/// so the translation vector lies along +z, apply the O(p^2) axial
-/// translation (the inner azimuthal sum collapses), rotate back — O(p^3)
-/// total instead of the O(p^4) dense double loop.  kNaive keeps the dense
-/// path for A/B validation and for translation vectors outside the
-/// precomputed integer-offset set.
-enum class M2LMode { kRotation, kNaive };
-
-/// Construction-time kernel options (see make_kernel overload below).
-struct KernelConfig {
-  M2LMode m2l_mode = M2LMode::kRotation;
-};
-
 /// Interaction kernel: expansion storage sizes plus the operator set.
 ///
 /// A kernel instance is configured once via setup() for a given domain and
@@ -101,11 +88,6 @@ class Kernel {
   /// Whether the advanced (M->I -> I->I -> I->L) path is implemented.
   virtual bool supports_merge_and_shift() const { return false; }
 
-  /// M2L strategy switch.  Configuration, not per-call state: set it before
-  /// operators run concurrently.  Kernels without a rotation path ignore it.
-  M2LMode m2l_mode() const { return m2l_mode_; }
-  void set_m2l_mode(M2LMode mode) { m2l_mode_ = mode; }
-
   /// Potential at `t` due to a unit charge at `s` (the exact kernel).
   virtual double direct(const Vec3& t, const Vec3& s) const = 0;
 
@@ -158,16 +140,10 @@ class Kernel {
   static void pack_symmetric(int p, const CoeffVec& full, std::byte* out);
   static void unpack_symmetric(int p, bool condon_phase,
                                std::span<const std::byte> wire, CoeffVec& out);
-
- private:
-  M2LMode m2l_mode_ = M2LMode::kRotation;
 };
 
 /// Factory: "laplace", "yukawa" (with screening parameter), or "counting".
 std::unique_ptr<Kernel> make_kernel(const std::string& name,
-                                    double yukawa_lambda = 1.0);
-std::unique_ptr<Kernel> make_kernel(const std::string& name,
-                                    const KernelConfig& config,
                                     double yukawa_lambda = 1.0);
 
 }  // namespace amtfmm

@@ -122,12 +122,10 @@ void LaplaceKernel::m2m_acc(const CoeffVec& in, const Vec3& from,
 
 void LaplaceKernel::m2l_acc(const CoeffVec& in, const Vec3& from,
                             const Vec3& to, int level, CoeffVec& inout) const {
-  if (m2l_mode() == M2LMode::kRotation) {
-    const M2LDirection* dir = m2l_rot_.find(to - from, scale(level));
-    if (dir != nullptr) {
-      m2l_rotated(*dir, in, level, inout);
-      return;
-    }
+  const M2LDirection* dir = m2l_rot_.find(to - from, scale(level));
+  if (dir != nullptr) {
+    m2l_rotated(*dir, in, level, inout);
+    return;
   }
   m2l_naive(in, from, to, level, inout);
 }

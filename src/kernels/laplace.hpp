@@ -88,13 +88,16 @@ class LaplaceKernel final : public Kernel {
   void i2l_acc(const CoeffVec& in, Axis d, int level,
                CoeffVec& inout) const override;
 
+  /// The dense O(p^4) M2L: m2l_acc's fallback for offsets outside the
+  /// rotation set, and the reference the rotation path is tested against.
+  void m2l_naive(const CoeffVec& in, const Vec3& from, const Vec3& to,
+                 int level, CoeffVec& inout) const;
+
   int order() const { return p_; }
   const PlaneWaveQuadrature& quadrature() const { return quad_; }
 
  private:
   double scale(int level) const;
-  void m2l_naive(const CoeffVec& in, const Vec3& from, const Vec3& to,
-                 int level, CoeffVec& inout) const;
   void m2l_rotated(const M2LDirection& dir, const CoeffVec& in, int level,
                    CoeffVec& inout) const;
 

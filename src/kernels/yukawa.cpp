@@ -293,7 +293,7 @@ void YukawaKernel::m2m_acc(const CoeffVec& in, const Vec3& from,
 
 void YukawaKernel::m2l_acc(const CoeffVec& in, const Vec3& from,
                            const Vec3& to, int level, CoeffVec& inout) const {
-  if (m2l_mode() == M2LMode::kRotation && !yk_axial_.empty()) {
+  if (!yk_axial_.empty()) {
     const M2LDirection* dir = m2l_rot_.find(to - from, box_size(level));
     if (dir != nullptr) {
       m2l_rotated(*dir, in, level, inout);

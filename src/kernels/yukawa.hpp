@@ -91,6 +91,11 @@ class YukawaKernel final : public Kernel {
   void i2l_acc(const CoeffVec& in, Axis d, int level,
                CoeffVec& inout) const override;
 
+  /// The dense M2L: m2l_acc's fallback for offsets outside the rotation
+  /// set, and the reference the rotation path is tested against.
+  void m2l_naive(const CoeffVec& in, const Vec3& from, const Vec3& to,
+                 int level, CoeffVec& inout) const;
+
   int order() const { return p_; }
   double lambda() const { return kappa_; }
 
@@ -99,8 +104,6 @@ class YukawaKernel final : public Kernel {
   double box_size(int level) const;
   /// i_n(kappa * w_level) table for the level.
   const std::vector<double>& inorm(int level) const;
-  void m2l_naive(const CoeffVec& in, const Vec3& from, const Vec3& to,
-                 int level, CoeffVec& inout) const;
   void m2l_rotated(const M2LDirection& dir, const CoeffVec& in, int level,
                    CoeffVec& inout) const;
   /// Packed index of T^mu_{jn} inside a per-(level, dist) axial table.

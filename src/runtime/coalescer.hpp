@@ -108,19 +108,6 @@ class CommCounters {
   void on_batch(std::uint32_t dst, std::size_t parcels, std::size_t bytes);
   void on_reason(FlushReason r);
 
-  std::uint64_t parcels() const {
-    // relaxed-ok: monotonic statistic, diagnostics only.
-    return parcels_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t batches() const {
-    // relaxed-ok: monotonic statistic, diagnostics only.
-    return batches_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t bytes() const {
-    // relaxed-ok: monotonic statistic, diagnostics only.
-    return bytes_.load(std::memory_order_relaxed);
-  }
-
   CommStats snapshot() const;
 
  private:

@@ -43,7 +43,7 @@ struct Task {
   /// means the task cannot cross a process boundary (closures do not
   /// serialize); in-process executors ignore both fields.  The payload
   /// size is the parcel's logical wire-byte count — the `bytes` passed to
-  /// send() — so wire_bytes == bytes_sent stays exact over sockets.
+  /// send() — so wire_bytes == comm.bytes stays exact over sockets.
   std::uint8_t net_kind = 0;
   std::shared_ptr<const std::vector<std::byte>> net_payload;
 };
@@ -145,6 +145,13 @@ class Executor {
   /// Enqueues a task at task.locality.
   virtual void spawn(Task t) = 0;
 
+  /// While the calling thread holds, the tasks it spawns from outside the
+  /// worker pool are staged; releasing makes them runnable all at once.
+  /// The engine holds across seeding, so which seeds a worker sees first
+  /// does not depend on how fast the calling thread publishes them.  No-op
+  /// where spawns are not cross-thread.
+  virtual void hold_foreign_spawns(bool /*hold*/) {}
+
   /// Sends a parcel of `bytes` from one locality to another; the task runs
   /// at the destination after (modelled) transport.  This is the only way
   /// work crosses localities.
@@ -171,12 +178,8 @@ class Executor {
   CounterRegistry& counters();
   const CounterRegistry& counters() const;
 
-  /// Total bytes sent across localities (diagnostics).
-  std::uint64_t bytes_sent() const;
-  std::uint64_t parcels_sent() const;
-
-  /// Full communication counters: parcels, batches, bytes, flush triggers,
-  /// per-destination histograms.
+  /// Communication counters: parcels, batches, bytes sent across
+  /// localities, flush triggers, per-destination histograms.
   CommStats comm_stats() const;
 
   /// The shared runtime core backing this executor.
@@ -185,10 +188,6 @@ class Executor {
  protected:
   std::unique_ptr<LocalityRuntime> rt_;
 };
-
-/// Identity of the executing worker thread, for real-mode tracing.
-/// Returns -1 outside a worker.
-int current_worker();
 
 namespace detail {
 /// Binds the calling thread to a worker id for current_worker().

@@ -55,12 +55,6 @@ struct RawWriter {
 
 bool sane_time(double t) { return std::isfinite(t) && t >= 0.0 && t < 1e9; }
 
-std::size_t round_up_pow2(std::size_t v) {
-  std::size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
-
 constexpr int kMaxRecorders = 8;
 // relaxed-ok: registry slots are independent pointers; dump iterates a
 // snapshot and registration happens on quiescent setup paths.
@@ -91,17 +85,17 @@ void crash_handler(int sig) {
 
 }  // namespace
 
-FlightRecorder::FlightRecorder(int workers, std::size_t events_per_worker) {
-  AMTFMM_ASSERT(workers >= 1 && events_per_worker >= 1);
-  const std::size_t cap = round_up_pow2(events_per_worker);
-  mask_ = cap - 1;
-  rings_ = std::vector<Ring>(static_cast<std::size_t>(workers));
-  for (auto& r : rings_) r.slots = std::make_unique<Event[]>(cap);
-  comm_.resize(256);
+FlightRecorder::FlightRecorder(TraceSink& sink, std::size_t events_per_worker)
+    : sink_(sink) {
+  AMTFMM_ASSERT(events_per_worker >= 1);
+  sink_.set_ring(events_per_worker);
   flight_register(this);
 }
 
-FlightRecorder::~FlightRecorder() { flight_unregister(this); }
+FlightRecorder::~FlightRecorder() {
+  flight_unregister(this);
+  sink_.set_ring(0);
+}
 
 void FlightRecorder::set_dump_path(const std::string& path) {
   std::snprintf(path_, sizeof(path_), "%s", path.c_str());
@@ -114,12 +108,6 @@ void FlightRecorder::set_meta(std::uint32_t rank, int cores,
   clock_ = clock;
 }
 
-void FlightRecorder::record_comm(const CommEvent& e) {
-  SyncLockGuard lk(comm_mu_);
-  comm_[comm_head_ % comm_.size()] = e;
-  ++comm_head_;
-}
-
 bool FlightRecorder::dump(const char* reason) const {
   if (path_[0] == '\0') return false;
   RawWriter w;
@@ -130,54 +118,40 @@ bool FlightRecorder::dump(const char* reason) const {
   w.fmt("{\"ph\":\"M\",\"pid\":%u,\"name\":\"process_name\","
         "\"args\":{\"name\":\"locality %u (flight)\"}}",
         rank_, rank_);
-  for (std::size_t wk = 0; wk < rings_.size(); ++wk) {
-    w.fmt(",\n{\"ph\":\"M\",\"pid\":%u,\"tid\":%zu,\"name\":"
-          "\"thread_name\",\"args\":{\"name\":\"worker %zu\"}}",
+  const auto workers = static_cast<std::uint32_t>(sink_.workers());
+  for (std::uint32_t wk = 0; wk < workers; ++wk) {
+    w.fmt(",\n{\"ph\":\"M\",\"pid\":%u,\"tid\":%u,\"name\":"
+          "\"thread_name\",\"args\":{\"name\":\"worker %u\"}}",
           rank_, wk, wk);
   }
-  for (std::uint32_t wk = 0; wk < rings_.size(); ++wk) {
-    const Ring& r = rings_[wk];
-    const std::uint64_t head = r.head.load(std::memory_order_acquire);
-    const std::uint64_t cap = mask_ + 1;
-    const std::uint64_t n = head < cap ? head : cap;
-    for (std::uint64_t i = head - n; i < head; ++i) {
-      const Event e = r.slots[i & mask_];  // copy: writer may still run
-      if (!sane_time(e.t0) || !sane_time(e.t1) || e.t1 < e.t0) continue;
-      if (e.instant) {
-        if (e.kind >= kNumInstantKinds) continue;  // torn slot
-        w.fmt(",\n{\"ph\":\"i\",\"pid\":%u,\"tid\":%u,\"ts\":%.3f,"
-              "\"name\":\"%s\",\"cat\":\"sched\",\"s\":\"t\"}",
-              rank_, wk, e.t0 * 1e6,
-              instant_kind_name(static_cast<InstantKind>(e.kind)));
-      } else {
-        if (e.cls >= kNumTraceClasses) continue;  // torn slot
-        w.fmt(",\n{\"ph\":\"X\",\"pid\":%u,\"tid\":%u,\"ts\":%.3f,"
-              "\"dur\":%.3f,\"name\":\"%s\",\"cat\":\"task\","
-              "\"args\":{\"edge\":%lld}}",
-              rank_, wk, e.t0 * 1e6, (e.t1 - e.t0) * 1e6,
-              trace_class_name(e.cls),
-              e.arg == kNoTraceArg ? -1ll
-                                   : static_cast<long long>(e.arg));
-      }
-    }
-  }
-  // Comm ring: try_lock only — a thread that crashed while holding the
-  // lock must not deadlock the handler; we just lose the comm slice.
-  if (comm_mu_.try_lock()) {
-    const std::size_t n = comm_head_ < comm_.size() ? comm_head_
-                                                    : comm_.size();
-    for (std::size_t i = comm_head_ - n; i < comm_head_; ++i) {
-      const CommEvent& e = comm_[i % comm_.size()];
-      if (!sane_time(e.t0) || !sane_time(e.t1) || e.t1 < e.t0) continue;
+  sink_.visit_rings([&](const TraceEvent& e) {
+    // Torn slots at the overwrite frontier fail one of these checks.
+    if (!sane_time(e.t0) || !sane_time(e.t1) || e.t1 < e.t0) return;
+    if (static_cast<int>(e.kind) >= kNumTraceKinds) return;
+    if (e.kind == TraceKind::kWire) {
       w.fmt(",\n{\"ph\":\"X\",\"pid\":%u,\"tid\":%d,\"ts\":%.3f,"
             "\"dur\":%.3f,\"name\":\"wire\",\"cat\":\"comm\","
             "\"args\":{\"src\":%u,\"dst\":%u,\"parcels\":%u,"
             "\"bytes\":%llu}}",
-            rank_, cores_, e.t0 * 1e6, (e.t1 - e.t0) * 1e6, e.src, e.dst,
+            rank_, cores_, e.t0 * 1e6, (e.t1 - e.t0) * 1e6, e.worker, e.arg,
             e.parcels, static_cast<unsigned long long>(e.bytes));
+      return;
     }
-    comm_mu_.unlock();
-  }
+    if (e.worker >= workers) return;
+    if (is_instant(e.kind)) {
+      w.fmt(",\n{\"ph\":\"i\",\"pid\":%u,\"tid\":%u,\"ts\":%.3f,"
+            "\"name\":\"%s\",\"cat\":\"sched\",\"s\":\"t\"}",
+            rank_, e.worker, e.t0 * 1e6, trace_kind_name(e.kind));
+      return;
+    }
+    if (e.cls >= kNumTraceClasses) return;
+    w.fmt(",\n{\"ph\":\"X\",\"pid\":%u,\"tid\":%u,\"ts\":%.3f,"
+          "\"dur\":%.3f,\"name\":\"%s\",\"cat\":\"task\","
+          "\"args\":{\"edge\":%lld}}",
+          rank_, e.worker, e.t0 * 1e6, (e.t1 - e.t0) * 1e6,
+          trace_class_name(e.cls),
+          e.arg == kNoTraceArg ? -1ll : static_cast<long long>(e.arg));
+  });
   w.fmt("\n],\n\"amtfmm_flight\":{\"reason\":\"%s\",\"rank\":%u,"
         "\"cores\":%d,\"steady_origin_s\":%.9f,\"wall_anchor_s\":%.9f,"
         "\"clock_offset_s\":%.9f,\"clock_uncertainty_s\":%.9f}}\n",

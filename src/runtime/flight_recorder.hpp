@@ -1,45 +1,27 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "runtime/sync_hook.hpp"
 #include "runtime/trace.hpp"
 
 namespace amtfmm {
 
-/// Always-on post-mortem recorder: per-worker fixed-size ring buffers
-/// holding the most recent trace events even when full tracing is off,
-/// dumped to a Chrome trace when something goes wrong (fatal signal, net
-/// failure teardown, serve-epoch watchdog).  A hung or crashed
-/// multi-process run then always yields a "last N events of every worker
-/// on every rank" artifact.
-///
-/// Memory model (DESIGN.md §7): each ring is single-writer — worker w is
-/// the only thread that ever writes ring w, advancing a monotone head
-/// cursor with a release store after the slot write.  The dump path reads
-/// heads with acquire and copies the newest min(head, capacity) slots.
-/// A dump racing live writers (the crash/watchdog case) can observe a
-/// torn slot at the overwrite frontier; the dumper drops events whose
-/// times fail basic sanity instead of synchronizing with the hot path —
-/// a flight recorder trades perfect fidelity at the crash instant for a
-/// zero-coordination steady state.
+/// Always-on post-mortem recorder: puts a TraceSink in ring mode, so its
+/// per-worker rings hold the most recent trace records even with full
+/// tracing off, and dumps them as a Chrome trace when something goes wrong
+/// (fatal signal, net failure teardown, serve-epoch watchdog).  A hung or
+/// crashed multi-process run then always yields a "last N events of every
+/// worker on every rank" artifact.  The ring memory model is TraceSink's
+/// (DESIGN.md §7).
 class FlightRecorder {
  public:
-  struct Event {
-    double t0 = 0.0;
-    double t1 = 0.0;
-    std::uint32_t arg = kNoTraceArg;
-    std::uint8_t cls = 0;
-    std::uint8_t kind = 0;  ///< InstantKind when instant
-    bool instant = false;
-  };
-
-  /// `events_per_worker` is rounded up to a power of two.
-  explicit FlightRecorder(int workers, std::size_t events_per_worker = 4096);
+  /// Attaches ring mode to `sink` with `events_per_worker` records per log
+  /// (rounded up to a power of two); the destructor detaches it.  Same
+  /// quiescence contract as TraceSink's mode changes, and full tracing
+  /// must be off.  The sink must outlive the recorder.
+  explicit FlightRecorder(TraceSink& sink,
+                          std::size_t events_per_worker = 4096);
   ~FlightRecorder();
 
   FlightRecorder(const FlightRecorder&) = delete;
@@ -54,66 +36,17 @@ class FlightRecorder {
   /// flight dumps can be aligned like regular traces.
   void set_meta(std::uint32_t rank, int cores, const TraceClock& clock);
 
-  /// Hot-path writes, routed here by TraceSink when flight mode is on.
-  /// Single-writer per ring: only worker w records to ring w.
-  void record_span(std::uint32_t worker, std::uint8_t cls, double t0,
-                   double t1, std::uint32_t arg) {
-    Ring& r = rings_[worker];
-    // relaxed-ok: single-writer cursor; the paired release store below
-    // publishes the slot, and only this worker ever advances the head.
-    const std::uint64_t h = r.head.load(std::memory_order_relaxed);
-    Event& e = r.slots[h & mask_];
-    e.t0 = t0;
-    e.t1 = t1;
-    e.arg = arg;
-    e.cls = cls;
-    e.kind = 0;
-    e.instant = false;
-    r.head.store(h + 1, std::memory_order_release);
-  }
-  void record_instant(std::uint32_t worker, InstantKind kind, double t,
-                      std::uint32_t arg) {
-    Ring& r = rings_[worker];
-    // relaxed-ok: single-writer cursor (see record_span).
-    const std::uint64_t h = r.head.load(std::memory_order_relaxed);
-    Event& e = r.slots[h & mask_];
-    e.t0 = t;
-    e.t1 = t;
-    e.arg = arg;
-    e.cls = 0;
-    e.kind = static_cast<std::uint8_t>(kind);
-    e.instant = true;
-    r.head.store(h + 1, std::memory_order_release);
-  }
-  /// Wire messages (rare): a small mutex-guarded ring.  The dump path
-  /// only try_locks it, so a thread crashing while holding the lock can
-  /// never deadlock the signal handler.
-  void record_comm(const CommEvent& e);
-
-  /// Writes the ring contents to dump_path() as a Chrome trace (JSON),
-  /// with `reason` in the metadata.  Avoids allocation and stdio streams:
+  /// Writes the sink's rings to dump_path() as a Chrome trace (JSON), with
+  /// `reason` in the metadata.  Avoids allocation and stdio streams:
   /// snprintf into a fixed buffer + write(2), so it is safe to call from
   /// a fatal-signal handler.  Returns false when the file cannot be
   /// opened or no path was configured.  Idempotent per call (truncates).
   bool dump(const char* reason) const;
 
-  int workers() const { return static_cast<int>(rings_.size()); }
-  std::size_t capacity() const { return mask_ + 1; }
+  std::size_t capacity() const { return sink_.ring_capacity(); }
 
  private:
-  struct Ring {
-    std::unique_ptr<Event[]> slots;
-    /// Monotone event count; slot (head-1) & mask_ is the newest event.
-    alignas(64) std::atomic<std::uint64_t> head{0};
-  };
-
-  std::vector<Ring> rings_;
-  std::uint64_t mask_ = 0;
-
-  mutable SyncMutex comm_mu_;
-  std::vector<CommEvent> comm_ GUARDED_BY(comm_mu_);
-  std::size_t comm_head_ GUARDED_BY(comm_mu_) = 0;
-
+  TraceSink& sink_;
   char path_[512] = {};
   std::uint32_t rank_ = 0;
   int cores_ = 0;

@@ -58,7 +58,7 @@ void LCO::fire() {
     }
     if (ex_.trace().enabled()) {
       ex_.trace().record_instant(static_cast<std::uint32_t>(w),
-                                 InstantKind::kLcoFire, tn);
+                                 TraceKind::kLcoFire, tn);
     }
   }
   on_fire();

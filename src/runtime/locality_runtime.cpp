@@ -16,8 +16,6 @@ const TraceSink& Executor::trace() const { return rt_->trace(); }
 CounterRegistry& Executor::counters() { return rt_->counters(); }
 const CounterRegistry& Executor::counters() const { return rt_->counters(); }
 
-std::uint64_t Executor::bytes_sent() const { return rt_->bytes(); }
-std::uint64_t Executor::parcels_sent() const { return rt_->parcels(); }
 CommStats Executor::comm_stats() const { return rt_->comm_stats(); }
 
 LocalityRuntime& Executor::runtime() { return *rt_; }

@@ -128,7 +128,7 @@ class LocalityRuntime {
   }
 
   /// Accounts one wire message at transmission: batch counters, flush
-  /// reason (coalesced batches only), and the comm trace event with the
+  /// reason (coalesced batches only), and the wire trace record with the
   /// executor-supplied start/arrival times.
   void account_batch(const ParcelBatch& b, double start, double arrival,
                      bool coalesced) {
@@ -149,9 +149,9 @@ class LocalityRuntime {
       }
     }
     if (trace_.enabled()) {
-      trace_.record_comm(CommEvent{start, arrival, b.src, b.dst,
-                                   static_cast<std::uint32_t>(b.tasks.size()),
-                                   b.bytes});
+      trace_.record_comm(TraceEvent::wire(
+          start, arrival, b.src, b.dst,
+          static_cast<std::uint32_t>(b.tasks.size()), b.bytes));
     }
   }
 
@@ -200,8 +200,6 @@ class LocalityRuntime {
     return w >= 0 ? w : 0;
   }
 
-  std::uint64_t bytes() const { return counters_.bytes(); }
-  std::uint64_t parcels() const { return counters_.parcels(); }
   CommStats comm_stats() const { return counters_.snapshot(); }
 
  private:

@@ -78,7 +78,7 @@ static_assert(sizeof(ControlMsg) == 32);
 /// One parcel inside a batch frame: the destination handler kind plus the
 /// serialized payload.  The payload size IS the parcel's logical
 /// wire-byte count (what the sender passed to Executor::send), so
-/// `wire_bytes == bytes_sent` stays exact over sockets; framing overhead
+/// `wire_bytes == comm.bytes` stays exact over sockets; framing overhead
 /// is accounted separately under net.* counters.
 struct WireParcel {
   std::uint8_t kind = 0;

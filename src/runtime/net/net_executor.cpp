@@ -169,7 +169,7 @@ void NetExecutor::transmit(ParcelBatch b, bool coalesced) {
   const int w = current_worker();
   if (w >= 0 && rt_->trace().enabled()) {
     rt_->trace().record_instant(static_cast<std::uint32_t>(w),
-                                InstantKind::kParcelSend, tn, b.dst);
+                                TraceKind::kParcelSend, tn, b.dst);
   }
   WireBatch wb;
   wb.src = b.src;
@@ -233,7 +233,7 @@ void NetExecutor::run_wire_batch(const WireBatch& b) {
   const int w = current_worker();
   if (w >= 0 && rt_->trace().enabled()) {
     rt_->trace().record_instant(static_cast<std::uint32_t>(w),
-                                InstantKind::kParcelRecv, now(), b.src);
+                                TraceKind::kParcelRecv, now(), b.src);
   }
   for (const WireParcel& p : b.parcels) {
     NetHandler h = wait_handler(p.kind);

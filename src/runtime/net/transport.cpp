@@ -1,5 +1,6 @@
 #include "runtime/net/transport.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -176,19 +177,27 @@ void NetTransport::start() {
     write_all(fd, frame.data(), frame.size());
     peers_[r].fd = std::move(fd);
   }
+  // Control frames have one size; reading no further than the hello frame
+  // leaves whatever the peer sends next to the progress thread.
+  const std::size_t hello_bytes = encode_control_frame(ControlMsg{}).size();
   for (std::uint32_t i = cfg_.rank + 1; i < cfg_.world; ++i) {
     Fd fd = accept_with_deadline(deadline);
     // Read exactly the hello frame (blocking socket).
     FrameDecoder dec;
     std::optional<FrameDecoder::Frame> f;
     std::byte buf[256];
+    std::size_t got = 0;
     while (!(f = dec.next())) {
-      if (dec.failed()) throw net_error("bootstrap: " + dec.error());
-      IoResult r = read_some(fd, buf, sizeof(buf));
+      if (dec.failed() || got == hello_bytes) {
+        throw net_error("bootstrap: bad hello frame " + dec.error());
+      }
+      IoResult r =
+          read_some(fd, buf, std::min(sizeof(buf), hello_bytes - got));
       if (!r.ok()) throw net_error("bootstrap read: " + r.error);
       if (r.closed) throw net_error("bootstrap read: peer closed");
       if (r.bytes == 0) continue;  // blocking socket: spurious wake only
       dec.feed(buf, r.bytes);
+      got += r.bytes;
     }
     std::string err;
     auto hello = decode_control(f->payload, &err);

@@ -6,6 +6,9 @@ namespace amtfmm {
 namespace {
 
 thread_local int tls_worker = -1;
+/// The executor whose foreign spawns the calling thread is holding back
+/// (hold_foreign_spawns); only that thread touches the staged chains.
+thread_local const void* tls_holding = nullptr;
 
 constexpr int kSpinRounds = 64;   // busy re-check before yielding
 constexpr int kYieldRounds = 16;  // yields before parking on the cv
@@ -137,14 +140,38 @@ void ThreadExecutor::spawn(Task t) {
         spawn_rr_.fetch_add(1, std::memory_order_relaxed) %
         static_cast<std::uint64_t>(cores_));
     auto& ws = *workers_[static_cast<std::size_t>(loc * cores_ + offset)];
-    // relaxed-ok: the speculative head read is validated by the CAS; the
-    // successful CAS (seq_cst) publishes the node.
-    TaskNode* head = ws.inbox.load(std::memory_order_relaxed);
-    do {
-      n->next = head;
-      // relaxed-ok: CAS failure order — retry re-reads, publishes nothing.
-    } while (!ws.inbox.compare_exchange_weak(
-        head, n, std::memory_order_seq_cst, std::memory_order_relaxed));
+    if (tls_holding == this) {
+      if (ws.staged == nullptr) ws.staged_tail = n;
+      n->next = ws.staged;
+      ws.staged = n;
+      return;  // published, and workers woken, by the release
+    }
+    push_inbox(ws, n, n);
+  }
+  wake_all();
+}
+
+void ThreadExecutor::push_inbox(WorkerState& ws, TaskNode* first,
+                                TaskNode* last) {
+  // relaxed-ok: the speculative head read is validated by the CAS; the
+  // successful CAS (seq_cst) publishes the chain.
+  TaskNode* head = ws.inbox.load(std::memory_order_relaxed);
+  do {
+    last->next = head;
+    // relaxed-ok: CAS failure order — retry re-reads, publishes nothing.
+  } while (!ws.inbox.compare_exchange_weak(
+      head, first, std::memory_order_seq_cst, std::memory_order_relaxed));
+}
+
+void ThreadExecutor::hold_foreign_spawns(bool hold) {
+  tls_holding = hold ? this : nullptr;
+  if (hold) return;
+  // One CAS per worker: a worker's inbox drain sees all of its staged
+  // tasks or none of them.
+  for (auto& ws : workers_) {
+    if (ws->staged == nullptr) continue;
+    push_inbox(*ws, ws->staged, ws->staged_tail);
+    ws->staged = nullptr;
   }
   wake_all();
 }
@@ -173,8 +200,8 @@ void ThreadExecutor::send(std::uint32_t from, std::uint32_t to,
   if (rt_->trace().enabled()) {
     const auto w =
         static_cast<std::uint32_t>(LocalityRuntime::metric_worker());
-    rt_->trace().record_instant(w, InstantKind::kParcelSend, tn, to);
-    rt_->trace().record_instant(w, InstantKind::kParcelRecv, tn, from);
+    rt_->trace().record_instant(w, TraceKind::kParcelSend, tn, to);
+    rt_->trace().record_instant(w, TraceKind::kParcelRecv, tn, from);
   }
   for (Task& bt : out.batch->tasks) spawn(std::move(bt));
 }
@@ -186,7 +213,7 @@ void ThreadExecutor::deliver(ParcelBatch b) {
   if (rt_->trace().enabled()) {
     rt_->trace().record_instant(
         static_cast<std::uint32_t>(LocalityRuntime::metric_worker()),
-        InstantKind::kParcelSend, tn, b.dst);
+        TraceKind::kParcelSend, tn, b.dst);
   }
   Task w;
   w.locality = b.dst;
@@ -206,7 +233,7 @@ void ThreadExecutor::run_batch_in_order(ParcelBatch b) {
   if (rt_->trace().enabled()) {
     rt_->trace().record_instant(
         static_cast<std::uint32_t>(LocalityRuntime::metric_worker()),
-        InstantKind::kParcelRecv, now(), b.src);
+        TraceKind::kParcelRecv, now(), b.src);
   }
   InOrder& io = inorder_[static_cast<std::size_t>(b.src) *
                              static_cast<std::size_t>(num_localities_) +
@@ -321,7 +348,7 @@ ThreadExecutor::TaskNode* ThreadExecutor::try_steal(int w) {
       if (counting) ctr.add(w, rt_->ids().steal_success);
       if (rt_->trace().enabled()) {
         rt_->trace().record_instant(static_cast<std::uint32_t>(w),
-                                    InstantKind::kSteal, now(),
+                                    TraceKind::kSteal, now(),
                                     static_cast<std::uint32_t>(victim));
       }
       return n;

@@ -54,6 +54,7 @@ class ThreadExecutor final : public Executor {
   int current_locality() const override;
 
   void spawn(Task t) override;
+  void hold_foreign_spawns(bool hold) override;
   void send(std::uint32_t from, std::uint32_t to, std::size_t bytes,
             Task t) override;
   double drain() override;
@@ -70,6 +71,10 @@ class ThreadExecutor final : public Executor {
     WsDeque<TaskNode> high{1024};
     WsDeque<TaskNode> low{1024};
     std::atomic<TaskNode*> inbox{nullptr};  // MPSC Treiber stack
+    // Foreign spawns held back by hold_foreign_spawns: touched only by the
+    // holding thread, published into the inbox as one chain.
+    TaskNode* staged = nullptr;
+    TaskNode* staged_tail = nullptr;
     // Owner-only spill when a bounded ring fills; never stolen from.
     std::deque<TaskNode*> overflow_high;
     std::deque<TaskNode*> overflow_low;
@@ -91,6 +96,8 @@ class ThreadExecutor final : public Executor {
   TaskNode* try_steal(int w);
   void push_local(int w, TaskNode* n);
   void drain_inbox(int w);
+  /// Pushes the chain first..last onto the worker's inbox with one CAS.
+  void push_inbox(WorkerState& ws, TaskNode* first, TaskNode* last);
   bool work_available(int w) const;
   void wake_all();
   void park(int w);

@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "kernels/kernel.hpp"
-#include "runtime/flight_recorder.hpp"
 #include "support/error.hpp"
 
 namespace amtfmm {
@@ -36,71 +35,94 @@ const char* trace_class_name(std::uint8_t cls) {
   return "?";
 }
 
-const char* instant_kind_name(InstantKind kind) {
+const char* trace_kind_name(TraceKind kind) {
   switch (kind) {
-    case InstantKind::kSteal: return "steal";
-    case InstantKind::kParcelSend: return "parcel_send";
-    case InstantKind::kParcelRecv: return "parcel_recv";
-    case InstantKind::kLcoFire: return "lco_fire";
+    case TraceKind::kSpan: return "span";
+    case TraceKind::kSteal: return "steal";
+    case TraceKind::kParcelSend: return "parcel_send";
+    case TraceKind::kParcelRecv: return "parcel_recv";
+    case TraceKind::kLcoFire: return "lco_fire";
+    case TraceKind::kWire: return "wire";
   }
   return "?";
 }
 
+void TraceSink::set_enabled(bool on) {
+  if (mode() == Mode::kRing) {
+    // Full tracing and the flight recorder are never combined; turning
+    // full mode off leaves an attached ring alone.
+    AMTFMM_ASSERT_MSG(!on, "full tracing while the flight recorder is on");
+    return;
+  }
+  if (on && ring_) {
+    // A detached recorder's rings give way to unbounded logs.
+    ring_ = false;
+    mask_ = 0;
+    clear();
+  }
+  // relaxed-ok: control flag, no ordering required (see class comment).
+  mode_.store(on ? Mode::kFull : Mode::kOff, std::memory_order_relaxed);
+}
+
+void TraceSink::set_ring(std::size_t capacity) {
+  AMTFMM_ASSERT_MSG(mode() != Mode::kFull,
+                    "flight recorder attached while full tracing is on");
+  if (capacity == 0) {
+    // relaxed-ok: control flag, no ordering required (see class comment).
+    mode_.store(Mode::kOff, std::memory_order_relaxed);
+    return;
+  }
+  std::size_t cap = 1;
+  while (cap < capacity) cap <<= 1;
+  ring_ = true;
+  mask_ = cap - 1;
+  for (Log& l : logs_) l.events.assign(cap, TraceEvent{});
+  {
+    SyncLockGuard lk(shared_mu_);
+    shared_.events.assign(cap, TraceEvent{});
+  }
+  clear();  // heads back to zero
+  // relaxed-ok: control flag, no ordering required (see class comment).
+  mode_.store(Mode::kRing, std::memory_order_relaxed);
+}
+
 std::vector<TraceEvent> TraceSink::collect() const {
   std::vector<TraceEvent> out;
-  std::size_t total = 0;
-  for (const auto& b : buffers_) total += b.size();
+  if (ring_) return out;
+  SyncLockGuard lk(shared_mu_);
+  std::size_t total = shared_.events.size();
+  for (const Log& l : logs_) total += l.events.size();
   out.reserve(total);
-  for (const auto& b : buffers_) out.insert(out.end(), b.begin(), b.end());
-  std::sort(out.begin(), out.end(),
-            [](const TraceEvent& a, const TraceEvent& b) { return a.t0 < b.t0; });
-  return out;
-}
-
-std::vector<InstantEvent> TraceSink::collect_instants() const {
-  std::vector<InstantEvent> out;
-  std::size_t total = 0;
-  for (const auto& b : instants_) total += b.size();
-  out.reserve(total);
-  for (const auto& b : instants_) out.insert(out.end(), b.begin(), b.end());
-  std::sort(out.begin(), out.end(),
-            [](const InstantEvent& a, const InstantEvent& b) { return a.t < b.t; });
-  return out;
-}
-
-void TraceSink::record_comm(const CommEvent& e) {
-  // relaxed-ok: control flag, no ordering required (see set_enabled).
-  const std::uint8_t m = mode_.load(std::memory_order_relaxed);
-  if (m == 0) return;
-  if ((m & kModeFlight) != 0) flight_->record_comm(e);
-  if ((m & kModeFull) == 0) return;
-  SyncLockGuard lk(comm_mu_);
-  comm_.push_back(e);
-}
-
-void TraceSink::flight_span(std::uint32_t worker, std::uint8_t cls, double t0,
-                            double t1, std::uint32_t arg) {
-  flight_->record_span(worker, cls, t0, t1, arg);
-}
-
-void TraceSink::flight_instant(std::uint32_t worker, InstantKind kind,
-                               double t, std::uint32_t arg) {
-  flight_->record_instant(worker, kind, t, arg);
-}
-
-std::vector<CommEvent> TraceSink::collect_comm() const {
-  SyncLockGuard lk(comm_mu_);
-  std::vector<CommEvent> out = comm_;
-  std::sort(out.begin(), out.end(),
-            [](const CommEvent& a, const CommEvent& b) { return a.t0 < b.t0; });
+  for (const Log& l : logs_) {
+    out.insert(out.end(), l.events.begin(), l.events.end());
+  }
+  for (const TraceEvent& e : shared_.events) {
+    if (e.kind != TraceKind::kWire) out.push_back(e);
+  }
+  const auto wire = static_cast<std::ptrdiff_t>(out.size());
+  for (const TraceEvent& e : shared_.events) {
+    if (e.kind == TraceKind::kWire) out.push_back(e);
+  }
+  // Wire records sort on their own before the merge, so their relative
+  // order (the exporter numbers flows by it) depends on the wire log only.
+  const auto by_t0 = [](const TraceEvent& a, const TraceEvent& b) {
+    return a.t0 < b.t0;
+  };
+  std::sort(out.begin(), out.begin() + wire, by_t0);
+  std::sort(out.begin() + wire, out.end(), by_t0);
+  std::inplace_merge(out.begin(), out.begin() + wire, out.end(), by_t0);
   return out;
 }
 
 void TraceSink::clear() {
-  for (auto& b : buffers_) b.clear();
-  for (auto& b : instants_) b.clear();
-  SyncLockGuard lk(comm_mu_);
-  comm_.clear();
+  auto reset = [this](Log& l) {
+    if (!ring_) l.events.clear();
+    // relaxed-ok: quiescent reset (see class comment).
+    l.head.store(0, std::memory_order_relaxed);
+  };
+  for (Log& l : logs_) reset(l);
+  SyncLockGuard lk(shared_mu_);
+  reset(shared_);
 }
 
 UtilizationProfile utilization(std::span<const TraceEvent> events,
@@ -118,6 +140,7 @@ UtilizationProfile utilization(std::span<const TraceEvent> events,
 
   const double dt = (t_end - t_begin) / intervals;
   for (const TraceEvent& e : events) {
+    if (e.kind != TraceKind::kSpan) continue;
     double a = std::max(e.t0, t_begin);
     double b = std::min(e.t1, t_end);
     if (b <= a) continue;

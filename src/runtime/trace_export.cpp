@@ -11,54 +11,47 @@ namespace {
 
 constexpr double kUs = 1e6;  // seconds -> trace_event microseconds
 
-/// One renderable record, used only to order the heterogeneous event
-/// streams by timestamp before emission.
+/// One renderable record, used only to order the stream's records (and
+/// the three parts of each wire record) by timestamp before emission.
 struct Rec {
   double ts;
-  std::uint8_t stream;  // 0 = span, 1 = instant, 2+k = comm part k (s, X, f)
-  std::uint32_t index;
+  std::uint8_t part;     // 0 = span or instant, 1..3 = wire part (s, X, f)
+  std::uint32_t index;   // into the input span
+  std::uint32_t flow;    // wire ordinal: the flow id
 };
 
 }  // namespace
 
 bool trace_export_chrome(const std::string& path,
-                         std::span<const TraceEvent> spans,
-                         std::span<const CommEvent> comm,
-                         std::span<const InstantEvent> instants,
+                         std::span<const TraceEvent> events,
                          const ChromeTraceOptions& opt) {
   const int cores = std::max(opt.cores_per_locality, 1);
   int localities = 1;  // local: process rows this file emits
-  auto note_worker = [&](std::uint32_t w) {
-    localities = std::max(localities, static_cast<int>(w) / cores + 1);
-  };
-  for (const TraceEvent& e : spans) note_worker(e.worker);
-  for (const InstantEvent& e : instants) note_worker(e.worker);
   // Global locality count for the analyzer: local rows are offset by the
-  // rank, comm events address peers by global rank, and a distributed
+  // rank, wire records address peers by global rank, and a distributed
   // rank's file must span the whole world even if it never spoke to the
   // last rank.
-  int global_localities =
-      std::max(localities + static_cast<int>(opt.rank),
-               static_cast<int>(opt.world));
-  for (const CommEvent& e : comm) {
-    global_localities = std::max({global_localities,
-                                  static_cast<int>(e.src) + 1,
-                                  static_cast<int>(e.dst) + 1});
-  }
-
+  int global_wire = 0;
   std::vector<Rec> recs;
-  recs.reserve(spans.size() + instants.size() + 3 * comm.size());
-  for (std::uint32_t i = 0; i < spans.size(); ++i) {
-    recs.push_back(Rec{spans[i].t0, 0, i});
+  recs.reserve(events.size());
+  std::uint32_t flows = 0;
+  for (std::uint32_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& e = events[i];
+    if (e.kind != TraceKind::kWire) {
+      localities = std::max(localities, static_cast<int>(e.worker) / cores + 1);
+      recs.push_back(Rec{e.t0, 0, i, 0});
+      continue;
+    }
+    global_wire = std::max({global_wire, static_cast<int>(e.worker) + 1,
+                            static_cast<int>(e.arg) + 1});
+    recs.push_back(Rec{e.t0, 1, i, flows});  // flow start at the source
+    recs.push_back(Rec{e.t0, 2, i, flows});  // NIC occupancy slice
+    recs.push_back(Rec{e.t1, 3, i, flows});  // flow end at the destination
+    ++flows;
   }
-  for (std::uint32_t i = 0; i < instants.size(); ++i) {
-    recs.push_back(Rec{instants[i].t, 1, i});
-  }
-  for (std::uint32_t i = 0; i < comm.size(); ++i) {
-    recs.push_back(Rec{comm[i].t0, 2, i});  // flow start at the source
-    recs.push_back(Rec{comm[i].t0, 3, i});  // NIC occupancy slice
-    recs.push_back(Rec{comm[i].t1, 4, i});  // flow end at the destination
-  }
+  const int global_localities =
+      std::max({localities + static_cast<int>(opt.rank),
+                static_cast<int>(opt.world), global_wire});
   std::stable_sort(recs.begin(), recs.end(),
                    [](const Rec& a, const Rec& b) { return a.ts < b.ts; });
 
@@ -112,90 +105,67 @@ bool trace_export_chrome(const std::string& path,
   };
 
   for (const Rec& r : recs) {
-    switch (r.stream) {
-      case 0: {
-        const TraceEvent& e = spans[r.index];
-        w.begin_object();
-        w.kv("name", trace_class_name(e.cls));
-        w.kv("cat", "task");
-        w.kv("ph", "X");
-        w.kv("ts", e.t0 * kUs);
-        w.kv("dur", (e.t1 - e.t0) * kUs);
-        pid_tid(e.worker);
-        if (e.arg != kNoTraceArg) {
-          w.key("args");
-          w.begin_object();
-          w.kv("edge", e.arg);
-          w.end_object();
-        }
-        w.end_object();
-        break;
-      }
-      case 1: {
-        const InstantEvent& e = instants[r.index];
-        w.begin_object();
-        w.kv("name", instant_kind_name(e.kind));
-        w.kv("cat", "sched");
-        w.kv("ph", "i");
-        w.kv("s", "t");  // thread-scoped instant
-        w.kv("ts", e.t * kUs);
-        pid_tid(e.worker);
-        if (e.arg != kNoTraceArg) {
-          w.key("args");
-          w.begin_object();
-          w.kv("arg", e.arg);
-          w.end_object();
-        }
-        w.end_object();
-        break;
-      }
-      case 2: {  // flow start on the source locality's net thread
-        const CommEvent& e = comm[r.index];
-        w.begin_object();
-        w.kv("name", "parcel");
-        w.kv("cat", "comm");
-        w.kv("ph", "s");
-        w.kv("id", r.index);
-        w.kv("ts", e.t0 * kUs);
-        w.kv("pid", e.src);
-        w.kv("tid", cores);
-        w.end_object();
-        break;
-      }
-      case 3: {  // NIC occupancy on the destination's net thread
-        const CommEvent& e = comm[r.index];
-        w.begin_object();
-        w.kv("name", "wire");
-        w.kv("cat", "comm");
-        w.kv("ph", "X");
-        w.kv("ts", e.t0 * kUs);
-        w.kv("dur", (e.t1 - e.t0) * kUs);
-        w.kv("pid", e.dst);
-        w.kv("tid", cores);
+    const TraceEvent& e = events[r.index];
+    w.begin_object();
+    if (r.part == 0 && e.kind == TraceKind::kSpan) {
+      w.kv("name", trace_class_name(e.cls));
+      w.kv("cat", "task");
+      w.kv("ph", "X");
+      w.kv("ts", e.t0 * kUs);
+      w.kv("dur", (e.t1 - e.t0) * kUs);
+      pid_tid(e.worker);
+      if (e.arg != kNoTraceArg) {
         w.key("args");
         w.begin_object();
-        w.kv("src", e.src);
-        w.kv("parcels", e.parcels);
-        w.kv("bytes", e.bytes);
+        w.kv("edge", e.arg);
         w.end_object();
-        w.end_object();
-        break;
       }
-      default: {  // flow end, binding enclosing the wire slice's close
-        const CommEvent& e = comm[r.index];
+    } else if (r.part == 0) {
+      w.kv("name", trace_kind_name(e.kind));
+      w.kv("cat", "sched");
+      w.kv("ph", "i");
+      w.kv("s", "t");  // thread-scoped instant
+      w.kv("ts", e.t0 * kUs);
+      pid_tid(e.worker);
+      if (e.arg != kNoTraceArg) {
+        w.key("args");
         w.begin_object();
-        w.kv("name", "parcel");
-        w.kv("cat", "comm");
-        w.kv("ph", "f");
-        w.kv("bp", "e");
-        w.kv("id", r.index);
-        w.kv("ts", e.t1 * kUs);
-        w.kv("pid", e.dst);
-        w.kv("tid", cores);
+        w.kv("arg", e.arg);
         w.end_object();
-        break;
       }
+    } else if (r.part == 1) {  // flow start on the source's net thread
+      w.kv("name", "parcel");
+      w.kv("cat", "comm");
+      w.kv("ph", "s");
+      w.kv("id", r.flow);
+      w.kv("ts", e.t0 * kUs);
+      w.kv("pid", e.worker);
+      w.kv("tid", cores);
+    } else if (r.part == 2) {  // NIC occupancy on the destination's net thread
+      w.kv("name", "wire");
+      w.kv("cat", "comm");
+      w.kv("ph", "X");
+      w.kv("ts", e.t0 * kUs);
+      w.kv("dur", (e.t1 - e.t0) * kUs);
+      w.kv("pid", e.arg);
+      w.kv("tid", cores);
+      w.key("args");
+      w.begin_object();
+      w.kv("src", e.worker);
+      w.kv("parcels", e.parcels);
+      w.kv("bytes", e.bytes);
+      w.end_object();
+    } else {  // flow end, binding enclosing the wire slice's close
+      w.kv("name", "parcel");
+      w.kv("cat", "comm");
+      w.kv("ph", "f");
+      w.kv("bp", "e");
+      w.kv("id", r.flow);
+      w.kv("ts", e.t1 * kUs);
+      w.kv("pid", e.arg);
+      w.kv("tid", cores);
     }
+    w.end_object();
   }
   w.end_array();
   w.kv("displayTimeUnit", "ms");

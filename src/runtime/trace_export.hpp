@@ -40,17 +40,16 @@ struct ChromeTraceOptions {
   TraceClock clock{};
 };
 
-/// Writes Chrome/Perfetto `trace_event` JSON: one process per locality, one
-/// thread per worker plus a "net" pseudo-thread per locality; operator
-/// spans as "X" complete events (args.edge carries the DAG edge id),
-/// scheduler instants as "i" events, and wire messages as NIC-occupancy
-/// slices on the destination's net thread connected by "s"/"f" flow
-/// arrows.  Timestamps are microseconds; events are emitted in
-/// non-decreasing ts order.  Returns false on I/O failure.
+/// Writes the trace stream as Chrome/Perfetto `trace_event` JSON: one
+/// process per locality, one thread per worker plus a "net" pseudo-thread
+/// per locality; spans as "X" complete events (args.edge carries the DAG
+/// edge id), scheduler instants as "i" events, and wire records as
+/// NIC-occupancy slices on the destination's net thread connected by
+/// "s"/"f" flow arrows (flow ids number the wire records in input order).
+/// Timestamps are microseconds; events are emitted in non-decreasing ts
+/// order.  Returns false on I/O failure.
 bool trace_export_chrome(const std::string& path,
-                         std::span<const TraceEvent> spans,
-                         std::span<const CommEvent> comm,
-                         std::span<const InstantEvent> instants,
+                         std::span<const TraceEvent> events,
                          const ChromeTraceOptions& opt);
 
 }  // namespace amtfmm

@@ -143,8 +143,8 @@ TraceMergeReport trace_merge(const std::vector<std::string>& inputs,
   };
   std::deque<Ordered> merged;
   std::vector<JsonValue> meta_events;
-  const char* send_name = instant_kind_name(InstantKind::kParcelSend);
-  const char* recv_name = instant_kind_name(InstantKind::kParcelRecv);
+  const char* send_name = trace_kind_name(TraceKind::kParcelSend);
+  const char* recv_name = trace_kind_name(TraceKind::kParcelRecv);
   // sends[src][dst] / recvs[dst][src]: corrected times in trace order —
   // the transport preserves per-(src,dst) FIFO order, so the k-th send
   // pairs with the k-th receive.

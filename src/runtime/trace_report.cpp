@@ -19,8 +19,9 @@ int class_of(const std::string& name) {
 }
 
 int instant_of(const std::string& name) {
-  for (int k = 0; k < kNumInstantKinds; ++k) {
-    if (name == instant_kind_name(static_cast<InstantKind>(k))) return k;
+  for (int k = 0; k < kNumTraceKinds; ++k) {
+    const auto kind = static_cast<TraceKind>(k);
+    if (is_instant(kind) && name == trace_kind_name(kind)) return k;
   }
   return -1;
 }
@@ -348,9 +349,12 @@ std::string report_json(const TraceReport& r) {
   w.end_object();
   w.key("instants");
   w.begin_object();
-  for (int k = 0; k < kNumInstantKinds; ++k) {
-    w.kv(instant_kind_name(static_cast<InstantKind>(k)),
-         r.instant_counts[static_cast<std::size_t>(k)]);
+  for (int k = 0; k < kNumTraceKinds; ++k) {
+    const auto kind = static_cast<TraceKind>(k);
+    if (is_instant(kind)) {
+      w.kv(trace_kind_name(kind),
+           r.instant_counts[static_cast<std::size_t>(k)]);
+    }
   }
   w.end_object();
   if (!r.counters.empty()) {

@@ -62,8 +62,9 @@ struct TraceReport {
   std::uint64_t critical_path_edges = 0;
   std::uint64_t dag_edges = 0;  ///< edges embedded in the trace
 
-  /// Scheduler/coalescing instant tallies from the trace itself.
-  std::array<std::uint64_t, kNumInstantKinds> instant_counts{};
+  /// Scheduler/coalescing instant tallies from the trace itself, indexed
+  /// by TraceKind (non-instant kinds stay zero).
+  std::array<std::uint64_t, kNumTraceKinds> instant_counts{};
   /// Counter-registry snapshot echoed from the trace metadata (empty when
   /// the producing run had counters disabled).
   CounterSnapshot counters;

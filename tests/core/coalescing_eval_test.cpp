@@ -103,7 +103,7 @@ TEST(CoalescingEval, SimulationCoalescingShrinksNetworkTime) {
   const SimResult on = eval.simulate(src, tgt, sim);
 
   EXPECT_EQ(on.comm.parcels, off.comm.parcels);
-  EXPECT_EQ(on.bytes_sent, off.bytes_sent);
+  EXPECT_EQ(on.comm.bytes, off.comm.bytes);
   EXPECT_LT(on.comm.batches, on.comm.parcels);
   EXPECT_GT(on.comm.coalescing_factor(), 1.0);
   EXPECT_LT(on.virtual_time, off.virtual_time)
@@ -128,12 +128,15 @@ TEST(CoalescingEval, RealModeSurfacesCommStats) {
 
   EXPECT_GT(r.comm.parcels, 0u);
   EXPECT_GT(r.comm.coalescing_factor(), 1.0);
-  EXPECT_EQ(r.comm.parcels, r.parcels_sent);
-  EXPECT_EQ(r.comm.bytes, r.bytes_sent);
+  EXPECT_EQ(r.comm.bytes, r.wire_bytes);
   std::uint64_t per_dst = 0;
   for (const auto v : r.comm.parcels_to) per_dst += v;
   EXPECT_EQ(per_dst, r.comm.parcels);
-  EXPECT_EQ(r.comm_trace.size(), r.comm.batches);
+  std::uint64_t wire_records = 0;
+  for (const TraceEvent& e : r.trace) {
+    wire_records += e.kind == TraceKind::kWire ? 1 : 0;
+  }
+  EXPECT_EQ(wire_records, r.comm.batches);
 }
 
 }  // namespace

@@ -86,7 +86,7 @@ TEST(Evaluator, MultiLocalityMatchesSingleLocality) {
   many.cores_per_locality = 2;
   Evaluator e4(make_kernel("laplace"), many);
   const auto r4 = e4.evaluate(src, q, tgt);
-  ASSERT_GT(r4.parcels_sent, 0u) << "4 localities must exchange parcels";
+  ASSERT_GT(r4.comm.parcels, 0u) << "4 localities must exchange parcels";
 
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(r1.potentials[i], r4.potentials[i],
@@ -157,7 +157,7 @@ TEST(Evaluator, SimulatedEvaluationScalesWithCores) {
   const double speedup = r32.virtual_time / r128.virtual_time;
   EXPECT_GT(speedup, 1.5);
   EXPECT_LE(speedup, 4.3);
-  EXPECT_GT(r128.bytes_sent, 0u);
+  EXPECT_GT(r128.comm.bytes, 0u);
 }
 
 TEST(Evaluator, RejectsBadConfiguration) {

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
-#include "core/evaluator.hpp"
+#include "core/pipeline.hpp"
 #include "geom/distributions.hpp"
 
 namespace amtfmm {
@@ -228,15 +228,15 @@ TEST(ExpansionLcoWireFormat, TransportBytesEqualSerializedBytes) {
   cfg.threshold = 40;
   Evaluator eval(make_kernel("laplace"), cfg);
   const EvalResult r = eval.evaluate(src, q, tgt);
-  ASSERT_GT(r.parcels_sent, 0u);
+  ASSERT_GT(r.comm.parcels, 0u);
   EXPECT_GT(r.wire_bytes, 0u);
-  EXPECT_EQ(r.wire_bytes, r.bytes_sent);
+  EXPECT_EQ(r.wire_bytes, r.comm.bytes);
 
   EvalConfig off = cfg;
   off.coalesce.enabled = false;
   Evaluator eval_off(make_kernel("laplace"), off);
   const EvalResult r_off = eval_off.evaluate(src, q, tgt);
-  EXPECT_EQ(r_off.wire_bytes, r_off.bytes_sent);
+  EXPECT_EQ(r_off.wire_bytes, r_off.comm.bytes);
   EXPECT_EQ(r_off.wire_bytes, r.wire_bytes);
 
   // The simulator exchanges the same parcels over the same wire format.
@@ -244,7 +244,7 @@ TEST(ExpansionLcoWireFormat, TransportBytesEqualSerializedBytes) {
   sim.localities = 3;
   sim.cores_per_locality = 2;
   const SimResult s = eval.simulate(src, tgt, sim);
-  EXPECT_EQ(s.wire_bytes, s.bytes_sent);
+  EXPECT_EQ(s.wire_bytes, s.comm.bytes);
   EXPECT_EQ(s.wire_bytes, r.wire_bytes);
 }
 
@@ -270,7 +270,7 @@ TEST(ExpansionLcoEngine, MultiLocalityMatchesSingleLocalityTightly) {
     many.localities = 4;
     Evaluator e4(make_kernel(kname, /*yukawa_lambda=*/2.0), many);
     const auto r4 = e4.evaluate(src, q, tgt);
-    ASSERT_GT(r4.parcels_sent, 0u);
+    ASSERT_GT(r4.comm.parcels, 0u);
 
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(r1.potentials[i], r4.potentials[i],
@@ -293,13 +293,13 @@ TEST(ExpansionLcoEngine, RepeatedEvaluationsStayConsistent) {
   cfg.localities = 2;
   cfg.cores_per_locality = 2;
   cfg.threshold = 30;
-  Evaluator eval(make_kernel("laplace"), cfg);
-  eval.prepare(src, tgt);
+  auto kernel = make_kernel("laplace");
+  EvalPipeline pipe(*kernel, cfg, src, tgt);
   for (int round = 0; round < 3; ++round) {
     const auto q = generate_charges(n, rng);
-    const EvalResult r = eval.evaluate_prepared(q);
-    EXPECT_EQ(r.wire_bytes, r.bytes_sent);
-    const auto ref = direct_sum(eval.kernel(), src, q, tgt);
+    const EvalResult r = pipe.evaluate(q);
+    EXPECT_EQ(r.wire_bytes, r.comm.bytes);
+    const auto ref = direct_sum(*kernel, src, q, tgt);
     double num = 0, den = 0;
     for (std::size_t i = 0; i < n; ++i) {
       num += (r.potentials[i] - ref[i]) * (r.potentials[i] - ref[i]);

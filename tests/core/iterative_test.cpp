@@ -1,14 +1,15 @@
 #include <gtest/gtest.h>
 
-#include "core/evaluator.hpp"
+#include "core/pipeline.hpp"
 #include "geom/distributions.hpp"
 
 namespace amtfmm {
 namespace {
 
-/// The iterative-use API of section IV: prepare once, evaluate the same DAG
-/// repeatedly with fresh charges.  Results must match the one-shot path
-/// exactly, and the kernel math must be stateless across evaluations.
+/// The iterative use of section IV: build one resident pipeline, evaluate
+/// the same DAG repeatedly with fresh charges.  Results must match the
+/// one-shot path exactly, and the kernel math must be stateless across
+/// evaluations.
 TEST(IterativeUse, PreparedEvaluationsMatchOneShot) {
   Rng rng(41);
   const std::size_t n = 3000;
@@ -19,15 +20,13 @@ TEST(IterativeUse, PreparedEvaluationsMatchOneShot) {
   cfg.threshold = 30;
   cfg.localities = 2;
   cfg.cores_per_locality = 2;
-  Evaluator eval(make_kernel("laplace"), cfg);
-  EXPECT_FALSE(eval.prepared());
-  eval.prepare(src, tgt);
-  EXPECT_TRUE(eval.prepared());
+  auto kernel = make_kernel("laplace");
+  EvalPipeline pipe(*kernel, cfg, src, tgt);
 
   for (int iter = 0; iter < 3; ++iter) {
     Rng qr(100 + static_cast<std::uint64_t>(iter));
     const auto q = generate_charges(n, qr);
-    const EvalResult prepared = eval.evaluate_prepared(q);
+    const EvalResult prepared = pipe.evaluate(q);
 
     Evaluator fresh(make_kernel("laplace"), cfg);
     const EvalResult oneshot = fresh.evaluate(src, q, tgt);
@@ -53,21 +52,14 @@ TEST(IterativeUse, LinearInCharges) {
 
   EvalConfig cfg;
   cfg.threshold = 40;
-  Evaluator eval(make_kernel("yukawa", 2.0), cfg);
-  eval.prepare(src, tgt);
-  const auto r1 = eval.evaluate_prepared(q);
-  const auto r2 = eval.evaluate_prepared(q2);
+  auto kernel = make_kernel("yukawa", 2.0);
+  EvalPipeline pipe(*kernel, cfg, src, tgt);
+  const auto r1 = pipe.evaluate(q);
+  const auto r2 = pipe.evaluate(q2);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(r2.potentials[i], 2.0 * r1.potentials[i],
                 1e-10 * std::abs(r1.potentials[i]) + 1e-13);
   }
-}
-
-TEST(IterativeUse, RequiresPrepare) {
-  EvalConfig cfg;
-  Evaluator eval(make_kernel("laplace"), cfg);
-  const std::vector<double> q(10, 1.0);
-  EXPECT_THROW(eval.evaluate_prepared(q), config_error);
 }
 
 }  // namespace

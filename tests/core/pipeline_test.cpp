@@ -52,7 +52,7 @@ TEST(EvalPipeline, ResidentReuseIsAllocationFreeAndExact) {
   const EvalResult first = pipe.evaluate(p.charges);
   EXPECT_EQ(pipe.epochs(), 1u);
   EXPECT_GT(first.wire_bytes, 0u);
-  EXPECT_EQ(first.wire_bytes, first.bytes_sent);
+  EXPECT_EQ(first.wire_bytes, first.comm.bytes);
 
   for (int e = 2; e <= 4; ++e) {
     const EvalResult r = pipe.evaluate(p.charges);
@@ -63,8 +63,8 @@ TEST(EvalPipeline, ResidentReuseIsAllocationFreeAndExact) {
     EXPECT_GT(pipe.last_reset_seconds(), 0.0);
     // Per-epoch transport identity and parity with epoch 1.
     EXPECT_EQ(r.wire_bytes, first.wire_bytes) << "epoch " << e;
-    EXPECT_EQ(r.bytes_sent, first.bytes_sent) << "epoch " << e;
-    EXPECT_EQ(r.parcels_sent, first.parcels_sent) << "epoch " << e;
+    EXPECT_EQ(r.comm.bytes, first.comm.bytes) << "epoch " << e;
+    EXPECT_EQ(r.comm.parcels, first.comm.parcels) << "epoch " << e;
     EXPECT_LT(max_rel_err(r.potentials, first.potentials), 1e-12);
   }
 
@@ -127,6 +127,23 @@ TEST(EvalPipeline, BatchedRequestsDemuxExactly) {
   }
   // The batched epoch is one ordinary traversal.
   EXPECT_EQ(pipe.epochs(), 1u);
+}
+
+// Epoch start times exist for trace exports only: a resident pipeline
+// serving untraced epochs forever must not grow them.
+TEST(EvalPipeline, EpochStartTimesOnlyGrowWhenTraced) {
+  const Problem p = make_problem(800, 26);
+  auto kernel = make_kernel("laplace");
+  constexpr int kEpochs = 4;
+  for (const bool traced : {false, true}) {
+    EvalConfig cfg = small_cfg();
+    cfg.trace = traced;
+    EvalPipeline pipe(*kernel, cfg, p.sources, p.targets);
+    for (int e = 0; e < kEpochs; ++e) pipe.evaluate(p.charges);
+    EXPECT_EQ(pipe.epoch_start_times().size(),
+              traced ? static_cast<std::size_t>(kEpochs) : 0u)
+        << (traced ? "traced" : "untraced");
+  }
 }
 
 TEST(EvalPipeline, EmptyUpdateKeepsArenaAndAnswer) {

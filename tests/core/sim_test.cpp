@@ -33,8 +33,12 @@ TEST(SimRealConsistency, SameOperatorEventCounts) {
   const SimResult simulated = eval.simulate(src, tgt, sim);
 
   std::map<int, std::size_t> real_counts, sim_counts;
-  for (const auto& e : real.trace) real_counts[e.cls]++;
-  for (const auto& e : simulated.trace) sim_counts[e.cls]++;
+  for (const auto& e : real.trace) {
+    if (e.kind == TraceKind::kSpan) real_counts[e.cls]++;
+  }
+  for (const auto& e : simulated.trace) {
+    if (e.kind == TraceKind::kSpan) sim_counts[e.cls]++;
+  }
   EXPECT_EQ(real_counts, sim_counts);
 }
 
@@ -69,7 +73,9 @@ TEST(SimRealConsistency, UtilizationIntegralEqualsTotalWork) {
   sim.trace = true;
   const SimResult r = eval.simulate(src, tgt, sim);
   double busy = 0;
-  for (const auto& e : r.trace) busy += e.t1 - e.t0;
+  for (const auto& e : r.trace) {
+    if (e.kind == TraceKind::kSpan) busy += e.t1 - e.t0;
+  }
   const int m = 50;
   const auto prof = utilization(r.trace, 0.0, r.virtual_time, m, r.total_cores);
   double integral = 0;

@@ -5,6 +5,8 @@
 #include <memory>
 
 #include "kernels/kernel.hpp"
+#include "kernels/laplace.hpp"
+#include "kernels/yukawa.hpp"
 #include "math/m2l_rotation.hpp"
 #include "support/rng.hpp"
 
@@ -79,19 +81,17 @@ TEST(LaplaceM2LRotation, MatchesNaiveToMachinePrecision) {
   const auto offsets = m2l_offsets();
   const Vec3 cs{0.3125, 0.3125, 0.3125};
   for (int digits = 1; digits <= 3; ++digits) {  // p = 3, 6, 9
-    auto k = make_kernel("laplace");
-    k->setup(kDomain, kMaxLevel, digits);
+    LaplaceKernel k;
+    k.setup(kDomain, kMaxLevel, digits);
     const Ensemble src = random_box_points(cs, kW, 40, 7u + digits);
     CoeffVec m;
-    k->s2m(src.pts, src.q, cs, kLevel, m);
+    k.s2m(src.pts, src.q, cs, kLevel, m);
     for (const Vec3& o : offsets) {
       const Vec3 ct = cs + o * kW;
-      CoeffVec naive(k->l_count(kLevel), cdouble{});
-      k->set_m2l_mode(M2LMode::kNaive);
-      k->m2l_acc(m, cs, ct, kLevel, naive);
-      CoeffVec rotated(k->l_count(kLevel), cdouble{});
-      k->set_m2l_mode(M2LMode::kRotation);
-      k->m2l_acc(m, cs, ct, kLevel, rotated);
+      CoeffVec naive(k.l_count(kLevel), cdouble{});
+      k.m2l_naive(m, cs, ct, kLevel, naive);
+      CoeffVec rotated(k.l_count(kLevel), cdouble{});
+      k.m2l_acc(m, cs, ct, kLevel, rotated);
       const double tol = 1e-12 * (1.0 + max_abs(naive));
       for (std::size_t i = 0; i < naive.size(); ++i) {
         ASSERT_NEAR(std::abs(rotated[i] - naive[i]), 0.0, tol)
@@ -102,22 +102,20 @@ TEST(LaplaceM2LRotation, MatchesNaiveToMachinePrecision) {
   }
 }
 
-// With a non-integer translation the rotation mode has no precomputed
+// With a non-integer translation the rotation path has no precomputed
 // direction and must dispatch to the identical naive computation.
 TEST(LaplaceM2LRotation, FallsBackToNaiveOffGrid) {
-  auto k = make_kernel("laplace");
-  k->setup(kDomain, kMaxLevel, 3);
+  LaplaceKernel k;
+  k.setup(kDomain, kMaxLevel, 3);
   const Vec3 cs{0.3125, 0.3125, 0.3125};
   const Vec3 ct = cs + Vec3{2.37 * kW, 0.11 * kW, -1.02 * kW};
   const Ensemble src = random_box_points(cs, kW, 40, 11);
   CoeffVec m;
-  k->s2m(src.pts, src.q, cs, kLevel, m);
-  CoeffVec naive(k->l_count(kLevel), cdouble{});
-  k->set_m2l_mode(M2LMode::kNaive);
-  k->m2l_acc(m, cs, ct, kLevel, naive);
-  CoeffVec rotated(k->l_count(kLevel), cdouble{});
-  k->set_m2l_mode(M2LMode::kRotation);
-  k->m2l_acc(m, cs, ct, kLevel, rotated);
+  k.s2m(src.pts, src.q, cs, kLevel, m);
+  CoeffVec naive(k.l_count(kLevel), cdouble{});
+  k.m2l_naive(m, cs, ct, kLevel, naive);
+  CoeffVec rotated(k.l_count(kLevel), cdouble{});
+  k.m2l_acc(m, cs, ct, kLevel, rotated);
   for (std::size_t i = 0; i < naive.size(); ++i) {
     ASSERT_EQ(rotated[i], naive[i]);
   }
@@ -132,19 +130,17 @@ TEST(YukawaM2LRotation, AgreesWithNaiveProjection) {
   const Vec3 cs{0.3125, 0.3125, 0.3125};
   for (int digits = 2; digits <= 3; ++digits) {
     const double eps = std::pow(10.0, -digits - 1);
-    auto k = make_kernel("yukawa", /*yukawa_lambda=*/2.0);
-    k->setup(kDomain, kMaxLevel, digits);
+    YukawaKernel k(/*yukawa_lambda=*/2.0);
+    k.setup(kDomain, kMaxLevel, digits);
     const Ensemble src = random_box_points(cs, kW, 40, 23u + digits);
     CoeffVec m;
-    k->s2m(src.pts, src.q, cs, kLevel, m);
+    k.s2m(src.pts, src.q, cs, kLevel, m);
     for (const Vec3& o : offsets) {
       const Vec3 ct = cs + o * kW;
-      CoeffVec naive(k->l_count(kLevel), cdouble{});
-      k->set_m2l_mode(M2LMode::kNaive);
-      k->m2l_acc(m, cs, ct, kLevel, naive);
-      CoeffVec rotated(k->l_count(kLevel), cdouble{});
-      k->set_m2l_mode(M2LMode::kRotation);
-      k->m2l_acc(m, cs, ct, kLevel, rotated);
+      CoeffVec naive(k.l_count(kLevel), cdouble{});
+      k.m2l_naive(m, cs, ct, kLevel, naive);
+      CoeffVec rotated(k.l_count(kLevel), cdouble{});
+      k.m2l_acc(m, cs, ct, kLevel, rotated);
       const double tol = 20.0 * eps * (1.0 + max_abs(naive));
       for (std::size_t i = 0; i < naive.size(); ++i) {
         ASSERT_NEAR(std::abs(rotated[i] - naive[i]), 0.0, tol)
@@ -172,7 +168,7 @@ TEST(YukawaM2LRotation, MatchesDirectSummation) {
   for (const Vec3& o : offsets) {
     const Vec3 ct = cs + o * kW;
     CoeffVec local(k->l_count(kLevel), cdouble{});
-    k->m2l_acc(m, cs, ct, kLevel, local);  // default mode: rotation
+    k->m2l_acc(m, cs, ct, kLevel, local);  // rotation path
     for (int trial = 0; trial < 4; ++trial) {
       const Vec3 t = ct + Vec3{rng.uniform(-0.5, 0.5) * kW,
                                rng.uniform(-0.5, 0.5) * kW,

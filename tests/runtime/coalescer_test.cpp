@@ -286,12 +286,15 @@ TEST(SimCoalescing, CommTraceMatchesBatchCounters) {
   }
   ex.drain();
   const CommStats s = ex.comm_stats();
-  const auto wire = ex.trace().collect_comm();
+  std::vector<TraceEvent> wire;
+  for (const TraceEvent& e : ex.trace().collect()) {
+    if (e.kind == TraceKind::kWire) wire.push_back(e);
+  }
   EXPECT_EQ(wire.size(), s.batches);
   std::uint64_t parcels = 0, bytes = 0;
-  for (const CommEvent& e : wire) {
-    EXPECT_EQ(e.src, 0u);
-    EXPECT_GE(e.dst, 1u);
+  for (const TraceEvent& e : wire) {
+    EXPECT_EQ(e.worker, 0u);  // source locality
+    EXPECT_GE(e.arg, 1u);     // destination locality
     EXPECT_GE(e.t1, e.t0);
     parcels += e.parcels;
     bytes += e.bytes;

@@ -33,14 +33,15 @@ JsonValue load_dump(const std::string& path) {
 }
 
 TEST(FlightRecorder, RingKeepsOnlyNewestEvents) {
-  FlightRecorder fr(/*workers=*/1, /*events_per_worker=*/8);
+  TraceSink sink(/*workers=*/1);
+  FlightRecorder fr(sink, /*events_per_worker=*/8);
   EXPECT_EQ(fr.capacity(), 8u);
   const std::string path = tmp_path("flight_ring.json");
   fr.set_dump_path(path);
   // 20 spans into an 8-slot ring: only the newest 8 (args 12..19) survive.
   for (int i = 0; i < 20; ++i) {
-    fr.record_span(0, /*cls=*/1, 1e-3 * i, 1e-3 * i + 5e-4,
-                   static_cast<std::uint32_t>(i));
+    sink.record(0, /*cls=*/1, 1e-3 * i, 1e-3 * i + 5e-4,
+                static_cast<std::uint32_t>(i));
   }
   ASSERT_TRUE(fr.dump("ring test"));
 
@@ -61,7 +62,8 @@ TEST(FlightRecorder, RingKeepsOnlyNewestEvents) {
 }
 
 TEST(FlightRecorder, DumpCarriesMetadataAndInstants) {
-  FlightRecorder fr(2, 16);
+  TraceSink sink(2);
+  FlightRecorder fr(sink, 16);
   const std::string path = tmp_path("flight_meta.json");
   fr.set_dump_path(path);
   TraceClock clock;
@@ -70,8 +72,8 @@ TEST(FlightRecorder, DumpCarriesMetadataAndInstants) {
   clock.offset_s = 0.25;
   clock.uncertainty_s = 1e-5;
   fr.set_meta(/*rank=*/3, /*cores=*/2, clock);
-  fr.record_instant(1, InstantKind::kParcelRecv, 2e-3, /*arg=*/0);
-  fr.record_comm(CommEvent{1e-3, 2e-3, 0, 3, 2, 64});
+  sink.record_instant(1, TraceKind::kParcelRecv, 2e-3, /*arg=*/0);
+  sink.record_comm(TraceEvent::wire(1e-3, 2e-3, 0, 3, 2, 64));
   ASSERT_TRUE(fr.dump("unit test"));
 
   const JsonValue v = load_dump(path);
@@ -92,22 +94,21 @@ TEST(FlightRecorder, DumpCarriesMetadataAndInstants) {
 
 TEST(FlightRecorder, TraceSinkRoutesWithFullTracingOff) {
   TraceSink sink(1);
-  FlightRecorder fr(1, 16);
-  const std::string path = tmp_path("flight_route.json");
-  fr.set_dump_path(path);
 
   // Nothing attached: record is a no-op (the disabled hot path).
   sink.record(0, 1, 0.0, 1e-3, 7);
   EXPECT_FALSE(sink.enabled());
 
-  sink.set_flight(&fr);
-  EXPECT_TRUE(sink.enabled());        // hot-path guard sees flight mode
-  EXPECT_FALSE(sink.full_enabled());  // ...but full tracing stays off
+  FlightRecorder fr(sink, 16);
+  const std::string path = tmp_path("flight_route.json");
+  fr.set_dump_path(path);
+  EXPECT_TRUE(sink.enabled());  // hot-path guard sees ring mode
+  EXPECT_EQ(sink.mode(), TraceSink::Mode::kRing);  // ...not full tracing
   sink.record(0, 1, 0.0, 1e-3, 7);
-  sink.record_instant(0, InstantKind::kSteal, 5e-4, 2);
+  sink.record_instant(0, TraceKind::kSteal, 5e-4, 2);
   EXPECT_TRUE(sink.collect().empty()) << "flight events must not leak into "
                                          "the full-trace buffers";
-  sink.set_flight(nullptr);
+  sink.set_ring(0);  // detach; the rings stay readable for the dump
   EXPECT_FALSE(sink.enabled());
   sink.record(0, 1, 0.0, 1e-3, 99);  // after detach: dropped
 
@@ -127,10 +128,11 @@ TEST(FlightRecorder, TraceSinkRoutesWithFullTracingOff) {
 }
 
 TEST(FlightRecorder, DumpAllReachesRegisteredRecorders) {
-  FlightRecorder fr(1, 8);
+  TraceSink sink(1);
+  FlightRecorder fr(sink, 8);
   const std::string path = tmp_path("flight_all.json");
   fr.set_dump_path(path);
-  fr.record_span(0, 1, 0.0, 1e-3, 0);
+  sink.record(0, 1, 0.0, 1e-3, 0);
   EXPECT_GE(flight_dump_all("dump-all test"), 1);
   const JsonValue v = load_dump(path);
   EXPECT_EQ(v.find("amtfmm_flight")->str_or("reason", ""), "dump-all test");
@@ -186,10 +188,11 @@ TEST(Watchdog, BeatReArmsDetectionAfterAStall) {
 // The serve-shaped integration: a stalled "epoch" dumps the flight
 // recorder through the registry, exactly what amtfmm_serve wires up.
 TEST(Watchdog, StallDumpsFlightRecorder) {
-  FlightRecorder fr(1, 8);
+  TraceSink sink(1);
+  FlightRecorder fr(sink, 8);
   const std::string path = tmp_path("flight_watchdog.json");
   fr.set_dump_path(path);
-  fr.record_span(0, 1, 0.0, 1e-3, 5);
+  sink.record(0, 1, 0.0, 1e-3, 5);
   std::atomic<int> dumped{0};
   Watchdog wd(0.05, [&](double) {
     dumped.store(flight_dump_all("serve epoch watchdog"));

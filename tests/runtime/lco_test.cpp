@@ -242,7 +242,7 @@ TEST(RuntimeFacade, ParcelsInvokeActionsAtTheTarget) {
   rt.drain();
   EXPECT_EQ(wrong_locality.load(), 0);
   EXPECT_DOUBLE_EQ(static_cast<SumLCO*>(rt.gas().resolve(addr))->value(), 6.0);
-  EXPECT_EQ(rt.executor().parcels_sent(), 3u);
+  EXPECT_EQ(rt.executor().comm_stats().parcels, 3u);
 }
 
 TEST(RuntimeFacade, SimModeParcelsWork) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -30,19 +31,25 @@ JsonValue parse_file(const std::string& path) {
   return v;
 }
 
+/// Records of a trace stream whose kind satisfies `match`.
+template <class Match>
+std::size_t count_kind(const std::vector<TraceEvent>& ev, Match match) {
+  return static_cast<std::size_t>(
+      std::count_if(ev.begin(), ev.end(),
+                    [&](const TraceEvent& e) { return match(e.kind); }));
+}
+bool is_span(TraceKind k) { return k == TraceKind::kSpan; }
+bool is_wire(TraceKind k) { return k == TraceKind::kWire; }
+
 TEST(TraceExport, HandcraftedRoundTrip) {
   // Two localities of one core each: a 1 ms span attributed to edge 0 on
   // worker 0, an unattributed span on worker 1, one steal instant, and one
   // wire message 0 -> 1.
-  const std::vector<TraceEvent> spans{
-      {0.0, 1e-3, 0, 1, 0},
-      {1e-3, 2e-3, 1, 5, kNoTraceArg},
-  };
-  const std::vector<InstantEvent> instants{
-      {0.5e-3, 0, InstantKind::kSteal, 1},
-  };
-  const std::vector<CommEvent> comm{
-      {0.2e-3, 0.8e-3, 0, 1, 3, 123},
+  const std::vector<TraceEvent> stream{
+      {0.0, 1e-3, 0, 1, TraceKind::kSpan, 0},
+      {1e-3, 2e-3, 1, 5, TraceKind::kSpan, kNoTraceArg},
+      TraceEvent::instant(0, TraceKind::kSteal, 0.5e-3, 1),
+      TraceEvent::wire(0.2e-3, 0.8e-3, 0, 1, 3, 123),
   };
   const std::vector<std::uint32_t> edges{0, 1};
 
@@ -52,7 +59,7 @@ TEST(TraceExport, HandcraftedRoundTrip) {
   opt.sim = true;
   opt.dag_edges = edges;
   const std::string path = tmp_path("handcrafted_trace.json");
-  ASSERT_TRUE(trace_export_chrome(path, spans, comm, instants, opt));
+  ASSERT_TRUE(trace_export_chrome(path, stream, opt));
 
   const JsonValue v = parse_file(path);
   const JsonValue* events = v.find("traceEvents");
@@ -108,7 +115,7 @@ TEST(TraceExport, HandcraftedRoundTrip) {
   // Edge 0 carries the 1 ms span: the critical path is exactly that edge.
   EXPECT_EQ(r.critical_path_edges, 1u);
   EXPECT_NEAR(r.critical_path_seconds, 1e-3, 1e-9);
-  EXPECT_EQ(r.instant_counts[static_cast<int>(InstantKind::kSteal)], 1u);
+  EXPECT_EQ(r.instant_counts[static_cast<int>(TraceKind::kSteal)], 1u);
 }
 
 TEST(TraceExport, MultiEpochCriticalPathIsPerEpoch) {
@@ -117,8 +124,8 @@ TEST(TraceExport, MultiEpochCriticalPathIsPerEpoch) {
   // the epochs apart (summing across epochs would report 4 ms, which no
   // single evaluation ever spent).
   const std::vector<TraceEvent> spans{
-      {0.0, 1e-3, 0, 1, 0},
-      {1.0, 1.003, 0, 1, 0},
+      {0.0, 1e-3, 0, 1, TraceKind::kSpan, 0},
+      {1.0, 1.003, 0, 1, TraceKind::kSpan, 0},
   };
   const std::vector<double> epochs{0.0, 1.0};
   ChromeTraceOptions opt;
@@ -129,7 +136,7 @@ TEST(TraceExport, MultiEpochCriticalPathIsPerEpoch) {
   opt.dag_edges = edges;
   opt.epochs = epochs;
   const std::string path = tmp_path("multi_epoch_trace.json");
-  ASSERT_TRUE(trace_export_chrome(path, spans, {}, {}, opt));
+  ASSERT_TRUE(trace_export_chrome(path, spans, opt));
 
   const TraceReport r = analyze_trace_file(path);
   ASSERT_TRUE(r.valid) << r.error;
@@ -160,7 +167,7 @@ TEST(TraceExport, ResidentPipelineTraceCarriesEpochs) {
   const EvalResult e2 = pipe.evaluate(charges);
   // Trace buffers accumulate across epochs: the epoch-2 collect holds
   // both evaluations' spans.
-  ASSERT_GT(e2.trace.size(), e1.trace.size());
+  ASSERT_GT(count_kind(e2.trace, is_span), count_kind(e1.trace, is_span));
 
   ChromeTraceOptions opt;
   opt.cores_per_locality = cfg.cores_per_locality;
@@ -169,8 +176,7 @@ TEST(TraceExport, ResidentPipelineTraceCarriesEpochs) {
   opt.dag_edges = e2.dag_edges;
   opt.epochs = pipe.epoch_start_times();
   const std::string path = tmp_path("pipeline_trace.json");
-  ASSERT_TRUE(
-      trace_export_chrome(path, e2.trace, e2.comm_trace, e2.instants, opt));
+  ASSERT_TRUE(trace_export_chrome(path, e2.trace, opt));
 
   const TraceReport rep = analyze_trace_file(path);
   ASSERT_TRUE(rep.valid) << rep.error;
@@ -222,16 +228,15 @@ TEST(TraceExport, SimulatedRunEndToEnd) {
   opt.dag_edges = r.dag_edges;
   opt.counters = &r.counters;
   const std::string path = tmp_path("sim_trace.json");
-  ASSERT_TRUE(
-      trace_export_chrome(path, r.trace, r.comm_trace, r.instants, opt));
+  ASSERT_TRUE(trace_export_chrome(path, r.trace, opt));
 
   const TraceReport rep = analyze_trace_file(path);
   ASSERT_TRUE(rep.valid) << rep.error;
   EXPECT_TRUE(rep.sim);
   EXPECT_EQ(rep.workers, r.total_cores);
-  EXPECT_EQ(rep.num_spans, r.trace.size());
-  EXPECT_EQ(rep.num_instants, r.instants.size());
-  EXPECT_EQ(rep.num_comm, r.comm_trace.size());
+  EXPECT_EQ(rep.num_spans, count_kind(r.trace, is_span));
+  EXPECT_EQ(rep.num_instants, count_kind(r.trace, is_instant));
+  EXPECT_EQ(rep.num_comm, count_kind(r.trace, is_wire));
   EXPECT_TRUE(rep.monotonic_ok);
   EXPECT_TRUE(rep.flows_paired);
   // Virtual time is noise free: the weighted critical path can never
@@ -269,13 +274,12 @@ TEST(TraceExport, ThreadedRunEndToEnd) {
   opt.dag_edges = r.dag_edges;
   opt.counters = &r.counters;
   const std::string path = tmp_path("eval_trace.json");
-  ASSERT_TRUE(
-      trace_export_chrome(path, r.trace, r.comm_trace, r.instants, opt));
+  ASSERT_TRUE(trace_export_chrome(path, r.trace, opt));
 
   const TraceReport rep = analyze_trace_file(path);
   ASSERT_TRUE(rep.valid) << rep.error;
   EXPECT_FALSE(rep.sim);
-  EXPECT_EQ(rep.num_spans, r.trace.size());
+  EXPECT_EQ(rep.num_spans, count_kind(r.trace, is_span));
   EXPECT_TRUE(rep.monotonic_ok);
   EXPECT_TRUE(rep.flows_paired);
   EXPECT_GT(rep.busy_seconds, 0.0);

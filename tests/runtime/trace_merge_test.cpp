@@ -29,10 +29,10 @@ void write_rank_trace(const std::string& path, std::uint32_t rank,
                       double span_t1, std::uint32_t edge, double send_t,
                       std::uint32_t dst, double recv_t, std::uint32_t src,
                       std::span<const std::uint32_t> edges) {
-  const std::vector<TraceEvent> spans{{span_t0, span_t1, 0, 1, edge}};
-  const std::vector<InstantEvent> instants{
-      {send_t, 0, InstantKind::kParcelSend, dst},
-      {recv_t, 0, InstantKind::kParcelRecv, src},
+  const std::vector<TraceEvent> events{
+      {span_t0, span_t1, 0, 1, TraceKind::kSpan, edge},
+      TraceEvent::instant(0, TraceKind::kParcelSend, send_t, dst),
+      TraceEvent::instant(0, TraceKind::kParcelRecv, recv_t, src),
   };
   ChromeTraceOptions opt;
   opt.cores_per_locality = 1;
@@ -41,7 +41,7 @@ void write_rank_trace(const std::string& path, std::uint32_t rank,
   opt.rank = rank;
   opt.world = 2;
   opt.clock = clock;
-  ASSERT_TRUE(trace_export_chrome(path, spans, {}, instants, opt));
+  ASSERT_TRUE(trace_export_chrome(path, events, opt));
 }
 
 TEST(TraceMerge, CorrectsSkewedClocksAndFindsCrossRankPath) {

@@ -55,7 +55,7 @@ struct Gather {
   std::mutex mu;
   std::vector<double> sum;  ///< element-wise sum of remote partials
   std::uint64_t wire_bytes = 0;
-  std::uint64_t bytes_sent = 0;
+  std::uint64_t comm_bytes = 0;
   std::uint64_t parcels = 0;
   int ranks_seen = 0;
   bool bad = false;
@@ -122,7 +122,7 @@ int run(int argc, char** argv) {
             return;
           }
           gather.wire_bytes += load_u64(buf.data() + 8);
-          gather.bytes_sent += load_u64(buf.data() + 16);
+          gather.comm_bytes += load_u64(buf.data() + 16);
           gather.parcels += load_u64(buf.data() + 24);
           if (gather.sum.empty()) gather.sum.assign(npot, 0.0);
           if (gather.sum.size() != npot) {
@@ -151,12 +151,12 @@ int run(int argc, char** argv) {
   for (int rep = 1; rep < repeat; ++rep) {
     EvalResult again = eval.evaluate_distributed(ex, sources, charges, targets);
     if (again.wire_bytes != res.wire_bytes ||
-        again.wire_bytes != again.bytes_sent) {
+        again.wire_bytes != again.comm.bytes) {
       std::fprintf(stderr,
                    "LOOPBACK FAIL: rank %u repeat %d wire_bytes %" PRIu64
-                   " (round 1: %" PRIu64 ") bytes_sent %" PRIu64 "\n",
+                   " (round 1: %" PRIu64 ") comm.bytes %" PRIu64 "\n",
                    rank, rep + 1, again.wire_bytes, res.wire_bytes,
-                   again.bytes_sent);
+                   again.comm.bytes);
       return 1;
     }
     double rep_rel = 0.0;
@@ -187,7 +187,7 @@ int run(int argc, char** argv) {
     topt.world = world;
     topt.clock = ex.trace_clock();
     trace_export_chrome(cli.str("trace-out") + "." + std::to_string(rank),
-                        res.trace, res.comm_trace, res.instants, topt);
+                        res.trace, topt);
   }
 
   if (world > 1) {
@@ -197,8 +197,8 @@ int run(int argc, char** argv) {
           kGatherHeader + npot * sizeof(double));
       store_u64(buf->data(), rank);
       store_u64(buf->data() + 8, res.wire_bytes);
-      store_u64(buf->data() + 16, res.bytes_sent);
-      store_u64(buf->data() + 24, res.parcels_sent);
+      store_u64(buf->data() + 16, res.comm.bytes);
+      store_u64(buf->data() + 24, res.comm.parcels);
       store_u64(buf->data() + 32, npot);
       std::memcpy(buf->data() + kGatherHeader, res.potentials.data(),
                   npot * sizeof(double));
@@ -233,7 +233,7 @@ int run(int argc, char** argv) {
     for (std::size_t i = 0; i < global.size(); ++i) global[i] += gather.sum[i];
   }
   const std::uint64_t total_wire = res.wire_bytes + gather.wire_bytes;
-  const std::uint64_t total_sent = res.bytes_sent + gather.bytes_sent;
+  const std::uint64_t total_sent = res.comm.bytes + gather.comm_bytes;
 
   // In-process reference: the same problem on the threaded executor with
   // one locality per rank.  Same DAG, same placement, same arithmetic —
@@ -268,7 +268,7 @@ int run(int argc, char** argv) {
   }
   if (total_wire != total_sent) {
     std::fprintf(stderr,
-                 "LOOPBACK FAIL: wire_bytes %" PRIu64 " != bytes_sent %" PRIu64
+                 "LOOPBACK FAIL: wire_bytes %" PRIu64 " != comm.bytes %" PRIu64
                  "\n",
                  total_wire, total_sent);
     ok = false;
@@ -295,7 +295,7 @@ int run(int argc, char** argv) {
 
   std::printf("LOOPBACK OK np=%u n=%zu wire_bytes=%" PRIu64
               " parcels=%" PRIu64 " max_rel=%.3e makespan=%.3fs\n",
-              world, n, total_wire, res.parcels_sent + gather.parcels,
+              world, n, total_wire, res.comm.parcels + gather.parcels,
               max_rel, res.makespan);
   return 0;
 }

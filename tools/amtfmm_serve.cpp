@@ -128,7 +128,6 @@ int run(int argc, char** argv) {
   cfg.counters = true;
 
   auto kernel = make_kernel(cli.str("kernel"));
-  kernel->set_m2l_mode(cfg.m2l_mode);
 
   std::unique_ptr<net::NetExecutor> nex;
   std::unique_ptr<EvalPipeline> pipeline;
@@ -155,11 +154,10 @@ int run(int argc, char** argv) {
     const char* net_dir = std::getenv("AMTFMM_NET_DIR");
     flight_dir = net_dir != nullptr ? net_dir : ".";
   }
-  FlightRecorder flight(ex.total_workers());
+  FlightRecorder flight(ex.trace());
   flight.set_dump_path(flight_dir + "/flight." + std::to_string(rank) +
                        ".json");
   flight.set_meta(rank, cfg.cores_per_locality, ex.trace_clock());
-  ex.trace().set_flight(&flight);
   flight_install_crash_handler();
 
   // Live telemetry: every rank runs a sampler shipping window deltas of
