@@ -22,7 +22,8 @@
 #include "core/expansion_lco.hpp"
 #include "kernels/kernel.hpp"
 #include "runtime/net/transport.hpp"
-#include "runtime/runtime.hpp"
+#include "runtime/sim_executor.hpp"
+#include "runtime/thread_executor.hpp"
 #include "support/timer.hpp"
 
 namespace {
@@ -60,20 +61,17 @@ void BM_LcoReduction(benchmark::State& state) {
 BENCHMARK(BM_LcoReduction)->Arg(100)->Arg(10000);
 
 void BM_ParcelRoundTrip(benchmark::State& state) {
-  RuntimeConfig cfg;
-  cfg.localities = 2;
-  cfg.cores_per_locality = 1;
-  Runtime rt(cfg);
+  constexpr std::size_t kBytes = 880;  // one multipole expansion
+  ThreadExecutor ex(2, 1);
   std::atomic<int> hits{0};
-  const std::uint32_t action = rt.register_action(
-      [&hits](Runtime&, const Parcel&) { hits.fetch_add(1); });
   for (auto _ : state) {
-    Parcel p;
-    p.action = action;
-    p.target = GlobalAddress{1, 0};
-    p.payload.resize(880);  // one multipole expansion
-    rt.send_parcel(0, std::move(p));
-    rt.drain();
+    Task t;
+    t.fn = [&hits, payload = std::vector<std::byte>(kBytes)] {
+      benchmark::DoNotOptimize(payload.data());
+      hits.fetch_add(1);
+    };
+    ex.send(0, 1, kBytes, std::move(t));
+    ex.drain();
   }
   benchmark::DoNotOptimize(hits.load());
 }
@@ -200,30 +198,24 @@ CoalesceConfig coalesce_arg(std::int64_t on) {
 // parcels shared a wire message.
 void BM_ParcelFanOutReal(benchmark::State& state) {
   constexpr int kParcels = 4096;
-  RuntimeConfig cfg;
-  cfg.localities = 4;
-  cfg.cores_per_locality = 1;
-  cfg.coalesce = coalesce_arg(state.range(0));
-  Runtime rt(cfg);
+  constexpr std::size_t kBytes = 64;
+  ThreadExecutor ex(4, 1, SchedPolicy::kWorkStealing, 1,
+                    coalesce_arg(state.range(0)));
   std::atomic<int> hits{0};
-  const std::uint32_t action = rt.register_action(
-      [&hits](Runtime&, const Parcel&) {
-        hits.fetch_add(1, std::memory_order_relaxed);
-      });
   for (auto _ : state) {
     for (int i = 0; i < kParcels; ++i) {
-      Parcel p;
-      p.action = action;
-      p.target = GlobalAddress{static_cast<std::uint32_t>(1 + i % 3), 0};
-      p.payload.resize(64);
-      rt.send_parcel(0, std::move(p));
+      Task t;
+      t.fn = [&hits, payload = std::vector<std::byte>(kBytes)] {
+        benchmark::DoNotOptimize(payload.data());
+        hits.fetch_add(1, std::memory_order_relaxed);
+      };
+      ex.send(0, static_cast<std::uint32_t>(1 + i % 3), kBytes, std::move(t));
     }
-    rt.drain();
+    ex.drain();
     benchmark::DoNotOptimize(hits.load());
   }
   state.SetItemsProcessed(state.iterations() * kParcels);
-  const CommStats s = rt.executor().comm_stats();
-  state.counters["coalescing_factor"] = s.coalescing_factor();
+  state.counters["coalescing_factor"] = ex.comm_stats().coalescing_factor();
 }
 BENCHMARK(BM_ParcelFanOutReal)->Arg(0)->Arg(1);
 
@@ -327,9 +319,13 @@ void run_transport_bench(net::TransportKind kind, const std::string& kind_name,
   };
   auto ctrl = [](const net::ControlMsg&) {};
 
+  // Each rank counts its net.* metrics in its own live registry.
+  CounterRegistry metrics0(1), metrics1(1);
+  metrics0.set_enabled(true);
+  metrics1.set_enabled(true);
   net::NetTransport* t1_ptr = nullptr;
   net::NetTransport t0(
-      transport_cfg(0, dir.string(), kind),
+      transport_cfg(0, dir.string(), kind), metrics0,
       [&](net::WireBatch&&) {
         std::lock_guard<std::mutex> lk(mu);
         ++echoes;
@@ -337,7 +333,7 @@ void run_transport_bench(net::TransportKind kind, const std::string& kind_name,
       },
       ctrl, fail);
   net::NetTransport t1(
-      transport_cfg(1, dir.string(), kind),
+      transport_cfg(1, dir.string(), kind), metrics1,
       [&](net::WireBatch&& b) {
         {
           std::lock_guard<std::mutex> lk(mu);
@@ -434,7 +430,7 @@ void run_transport_bench(net::TransportKind kind, const std::string& kind_name,
   // the logical payload bytes survived exactly (wire == sent invariant).
   t0.stop();
   t1.stop();
-  const std::uint64_t sent_msgs = t0.stats().msgs_sent.load();
+  const std::uint64_t sent_msgs = metrics0.snapshot().value("net.msgs_sent");
   const std::uint64_t sent_bytes =
       (kWarmup + kRoundTrips) * 8 + kMsgs * 32 + kBig * kBigBytes;
   {

@@ -2,7 +2,9 @@
 # Full local gate, mirroring .github/workflows/ci.yml:
 #   1. invariant lint self-test, then the lint itself (threading /
 #      memory-order / payload / seed rules),
-#   2. Release build + complete test suite, plus the kernel/operator tests
+#   2. Release build + complete test suite, the runtime/pipeline tests
+#      re-run pinned to one CPU (taskset -c 0) and three times in random
+#      order (with the net/serve tests), plus the kernel/operator tests
 #      re-run with AMTFMM_FORCE_ISA=scalar (SIMD dispatch pinned off),
 #      followed by the static concurrency contract when clang++ exists:
 #      -Wthread-safety -Werror build, tests/static try_compile proofs,
@@ -56,6 +58,14 @@ else
   echo "clang++ not installed; skipping thread-safety + amtfmm_lint legs" \
        "(CI enforces them)"
 fi
+
+echo "== Robustness: runtime/pipeline tests pinned to one CPU =="
+taskset -c 0 ctest --test-dir build --output-on-failure \
+  -R 'EvalPipeline|Engine|Executor|Coalesc|SimReal|Trace|Counter'
+echo "== Robustness: repeated, randomized-order runtime/net/serve tests =="
+ctest --test-dir build --output-on-failure -j"$JOBS" \
+  --repeat until-fail:3 --schedule-random \
+  -R 'EvalPipeline|Engine|Executor|Coalesc|SimReal|Trace|Counter|Net|Serve'
 
 echo "== Kernel/operator tests with SIMD dispatch forced to scalar =="
 AMTFMM_FORCE_ISA=scalar ctest --test-dir build --output-on-failure \

@@ -18,7 +18,7 @@ Machine-checkable rules the code review relies on:
      src/runtime/ws_deque.hpp (the Chase-Lev memory-order table lives in
      DESIGN.md §3d), src/runtime/sync_hook.hpp (hook dispatch constants,
      not atomic operations), src/runtime/net/ transport and executor
-     (NetStats diagnostic counters, and termination-protocol counts whose
+     (sticky failure/stop flags, and termination-protocol counts whose
      soundness rests on two-round stability, not ordering — DESIGN.md §5),
      and src/rtcheck/ (the harness serializes all model threads; its
      control flags carry no data).
@@ -109,10 +109,10 @@ RELAXED_EXEMPT = (
     "src/runtime/counters.cpp",
     "src/runtime/ws_deque.hpp",
     "src/runtime/sync_hook.hpp",
-    # NetStats mirrors counters.*: independent monotone counts and
-    # high-water marks, read for diagnostics.  The termination-protocol
-    # counters (sent/recvd parcels) are deliberately relaxed too — the
-    # protocol's soundness comes from requiring two consecutive probe
+    # The transport's sticky failed/stop/peer-close flags publish no data
+    # (failure text and outboxes travel under mu_).  The termination-
+    # protocol counters (sent/recvd parcels) are deliberately relaxed too —
+    # the protocol's soundness comes from requiring two consecutive probe
     # rounds with identical counter cuts, not from memory ordering
     # (DESIGN.md §5).
     "src/runtime/net/transport.cpp",

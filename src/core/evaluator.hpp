@@ -4,7 +4,7 @@
 
 #include "core/engine.hpp"
 #include "runtime/counters.hpp"
-#include "runtime/runtime.hpp"
+#include "runtime/sim_executor.hpp"
 
 namespace amtfmm {
 

@@ -8,32 +8,6 @@
 #include "support/timer.hpp"
 
 namespace amtfmm {
-namespace {
-
-/// Per-epoch transport statistics on a resident executor: the executor's
-/// counters are cumulative across drains, so each epoch reports the
-/// element-wise difference against the snapshot taken after the previous
-/// epoch.
-CommStats diff_comm(CommStats now, const CommStats& base) {
-  now.parcels -= base.parcels;
-  now.batches -= base.batches;
-  now.bytes -= base.bytes;
-  now.flush_threshold -= base.flush_threshold;
-  now.flush_deadline -= base.flush_deadline;
-  now.flush_quiescence -= base.flush_quiescence;
-  for (std::size_t i = 0; i < base.parcels_to.size(); ++i) {
-    now.parcels_to[i] -= base.parcels_to[i];
-    now.batches_to[i] -= base.batches_to[i];
-    now.bytes_to[i] -= base.bytes_to[i];
-  }
-  for (std::size_t i = 0; i < base.batch_size_log2.size(); ++i) {
-    now.batch_size_log2[i] -= base.batch_size_log2[i];
-  }
-  return now;
-}
-
-}  // namespace
-
 PreparedModel build_model(Kernel& kernel, const EvalConfig& cfg,
                           std::span<const Vec3> sources,
                           std::span<const Vec3> targets, int localities) {
@@ -110,7 +84,9 @@ void EvalPipeline::rebuild() {
   snapshot_baseline();
 }
 
-void EvalPipeline::snapshot_baseline() { comm_base_ = ex_->comm_stats(); }
+void EvalPipeline::snapshot_baseline() {
+  comm_base_ = ex_->counters().snapshot();
+}
 
 EvalResult EvalPipeline::evaluate(std::span<const double> charges) {
   AMTFMM_ASSERT(charges.size() == model_.tree.source.num_points());
@@ -137,12 +113,14 @@ EvalResult EvalPipeline::evaluate(std::span<const double> charges) {
   }
 
   out.wire_bytes = engine_->wire_bytes();
-  out.comm = diff_comm(ex_->comm_stats(), comm_base_);
+  CounterSnapshot now = ex_->counters().snapshot();
+  out.comm = CommStats::from(snapshot_delta(comm_base_, now));
   // Per-epoch form of the transport identity: this epoch serialized
-  // exactly the bytes it handed to the transport (the executor counters
-  // are cumulative, hence the baseline deltas).
+  // exactly the bytes it handed to the transport (the registry counts are
+  // cumulative, hence the baseline deltas).
   AMTFMM_ASSERT(out.wire_bytes == out.comm.bytes);
-  snapshot_baseline();
+  if (cfg_.counters) out.counters = now;
+  comm_base_ = std::move(now);
 
   if (cfg_.trace) {
     // Trace buffers accumulate across epochs; exports carry the epoch
@@ -150,7 +128,6 @@ EvalResult EvalPipeline::evaluate(std::span<const double> charges) {
     out.trace = ex_->trace().collect();
     out.dag_edges = flatten_dag_edges(model_.dag);
   }
-  if (cfg_.counters) out.counters = ex_->counters().snapshot();
   return out;
 }
 

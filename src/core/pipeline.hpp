@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/evaluator.hpp"
+#include "runtime/thread_executor.hpp"
 
 namespace amtfmm {
 
@@ -154,9 +155,10 @@ class EvalPipeline {
   double setup_seconds_ = 0.0;
   std::uint64_t rebuilds_ = 0;
   std::vector<double> epoch_starts_;
-  /// Per-epoch transport baseline (the executor's counters are
-  /// cumulative; the engine's wire count is per-execute).
-  CommStats comm_base_;
+  /// Registry snapshot at the end of the previous epoch: the baseline of
+  /// the per-epoch comm window (registry counts are cumulative; the
+  /// engine's wire count is per-execute).
+  CounterSnapshot comm_base_;
 };
 
 }  // namespace amtfmm

@@ -1,7 +1,5 @@
 #include "runtime/coalescer.hpp"
 
-#include <bit>
-
 #include "support/error.hpp"
 
 namespace amtfmm {
@@ -141,97 +139,6 @@ bool ParcelCoalescer::pending() const {
 
 bool ParcelCoalescer::pending_from(std::uint32_t src) const {
   return hooked_load(pending_per_src_[src], std::memory_order_seq_cst) != 0;
-}
-
-namespace {
-
-// relaxed-ok: CommCounters are monotonic, independently merged statistics.
-// Readers (snapshot() and the scalar accessors) tolerate torn cross-counter
-// views — the numbers are diagnostics, never control flow — so individual
-// updates and reads need no ordering.  All relaxed statistics traffic in
-// this file goes through these three helpers.
-std::uint64_t stat_read(const std::atomic<std::uint64_t>& a) {
-  return a.load(std::memory_order_relaxed);  // relaxed-ok: see above
-}
-void stat_add(std::atomic<std::uint64_t>& a, std::uint64_t v) {
-  a.fetch_add(v, std::memory_order_relaxed);  // relaxed-ok: see above
-}
-void stat_zero(std::atomic<std::uint64_t>& a) {
-  a.store(0, std::memory_order_relaxed);  // relaxed-ok: see above
-}
-
-}  // namespace
-
-CommCounters::CommCounters(int localities)
-    : localities_(localities),
-      parcels_to_(new std::atomic<std::uint64_t>[
-          static_cast<std::size_t>(localities)]),
-      batches_to_(new std::atomic<std::uint64_t>[
-          static_cast<std::size_t>(localities)]),
-      bytes_to_(new std::atomic<std::uint64_t>[
-          static_cast<std::size_t>(localities)]) {
-  for (int i = 0; i < localities; ++i) {
-    const auto s = static_cast<std::size_t>(i);
-    stat_zero(parcels_to_[s]);
-    stat_zero(batches_to_[s]);
-    stat_zero(bytes_to_[s]);
-  }
-}
-
-void CommCounters::on_parcel(std::uint32_t dst, std::size_t bytes) {
-  stat_add(parcels_, 1);
-  stat_add(bytes_, bytes);
-  stat_add(parcels_to_[dst], 1);
-  stat_add(bytes_to_[dst], bytes);
-}
-
-void CommCounters::on_batch(std::uint32_t dst, std::size_t parcels,
-                            std::size_t bytes) {
-  (void)bytes;  // per-parcel bytes already counted in on_parcel
-  stat_add(batches_, 1);
-  stat_add(batches_to_[dst], 1);
-  const auto bucket = std::min<std::size_t>(
-      hist_.size() - 1,
-      static_cast<std::size_t>(std::bit_width(std::max<std::size_t>(
-          parcels, 1)) - 1));
-  stat_add(hist_[bucket], 1);
-}
-
-void CommCounters::on_reason(FlushReason r) {
-  switch (r) {
-    case FlushReason::kThreshold:
-      stat_add(flush_threshold_, 1);
-      break;
-    case FlushReason::kDeadline:
-      stat_add(flush_deadline_, 1);
-      break;
-    case FlushReason::kQuiescence:
-      stat_add(flush_quiescence_, 1);
-      break;
-  }
-}
-
-CommStats CommCounters::snapshot() const {
-  CommStats s;
-  s.parcels = stat_read(parcels_);
-  s.batches = stat_read(batches_);
-  s.bytes = stat_read(bytes_);
-  s.flush_threshold = stat_read(flush_threshold_);
-  s.flush_deadline = stat_read(flush_deadline_);
-  s.flush_quiescence = stat_read(flush_quiescence_);
-  const auto n = static_cast<std::size_t>(localities_);
-  s.parcels_to.resize(n);
-  s.batches_to.resize(n);
-  s.bytes_to.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    s.parcels_to[i] = stat_read(parcels_to_[i]);
-    s.batches_to[i] = stat_read(batches_to_[i]);
-    s.bytes_to[i] = stat_read(bytes_to_[i]);
-  }
-  for (std::size_t i = 0; i < hist_.size(); ++i) {
-    s.batch_size_log2[i] = stat_read(hist_[i]);
-  }
-  return s;
 }
 
 }  // namespace amtfmm

@@ -98,30 +98,4 @@ class ParcelCoalescer {
   std::unique_ptr<std::atomic<std::uint64_t>[]> pending_per_src_;
 };
 
-/// Communication counters shared by both executors.  Lock free; per-parcel
-/// updates happen on the send path, per-batch updates at flush time.
-class CommCounters {
- public:
-  explicit CommCounters(int localities);
-
-  void on_parcel(std::uint32_t dst, std::size_t bytes);
-  void on_batch(std::uint32_t dst, std::size_t parcels, std::size_t bytes);
-  void on_reason(FlushReason r);
-
-  CommStats snapshot() const;
-
- private:
-  int localities_;
-  std::atomic<std::uint64_t> parcels_{0};
-  std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> bytes_{0};
-  std::atomic<std::uint64_t> flush_threshold_{0};
-  std::atomic<std::uint64_t> flush_deadline_{0};
-  std::atomic<std::uint64_t> flush_quiescence_{0};
-  std::unique_ptr<std::atomic<std::uint64_t>[]> parcels_to_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> batches_to_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> bytes_to_;
-  std::array<std::atomic<std::uint64_t>, 16> hist_{};
-};
-
 }  // namespace amtfmm

@@ -1,23 +1,48 @@
 #include "runtime/counters.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "support/json.hpp"
 
 namespace amtfmm {
 
+namespace {
+
+/// Entry named `name`, nullptr when absent.  Snapshots of one registry
+/// list metrics in registration order, so when comparing two of them the
+/// entry at the same index (`hint`) is almost always the match; the name
+/// scan covers a metric registered between the two snapshots.
+template <class T>
+const T* find_named(const std::vector<T>& v, const std::string& name,
+                    std::size_t hint = SIZE_MAX) {
+  if (hint < v.size() && v[hint].name == name) return &v[hint];
+  for (const auto& x : v) {
+    if (x.name == name) return &x;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
 std::uint64_t CounterSnapshot::value(const std::string& name) const {
-  for (const auto& c : counters) {
-    if (c.name == name) return c.value;
-  }
-  for (const auto& g : gauges) {
-    if (g.name == name) return g.value;
-  }
-  return 0;
+  if (const Scalar* c = find_named(counters, name)) return c->value;
+  const Scalar* g = find_named(gauges, name);
+  return g != nullptr ? g->value : 0;
+}
+
+const CounterSnapshot::Histogram* CounterSnapshot::hist(
+    const std::string& name) const {
+  return find_named(histograms, name);
 }
 
 void CounterSnapshot::append_json(JsonWriter& w) const {
   w.begin_object();
+  append_json_members(w);
+  w.end_object();
+}
+
+void CounterSnapshot::append_json_members(JsonWriter& w) const {
   w.key("counters");
   w.begin_object();
   for (const auto& c : counters) w.kv(c.name, c.value);
@@ -43,7 +68,60 @@ void CounterSnapshot::append_json(JsonWriter& w) const {
     w.end_object();
   }
   w.end_object();
-  w.end_object();
+}
+
+CounterSnapshot CounterSnapshot::from_json(const JsonValue& v) {
+  CounterSnapshot snap;
+  auto scalars = [&v](const char* key, std::vector<Scalar>& out) {
+    const JsonValue* obj = v.find(key);
+    if (obj == nullptr || !obj->is_object()) return;
+    for (const auto& [name, val] : obj->object) {
+      if (val.is_number()) {
+        out.push_back({name, static_cast<std::uint64_t>(val.number)});
+      }
+    }
+  };
+  scalars("counters", snap.counters);
+  scalars("gauges", snap.gauges);
+  const JsonValue* hs = v.find("histograms");
+  if (hs == nullptr || !hs->is_object()) return snap;
+  for (const auto& [name, hv] : hs->object) {
+    Histogram h;
+    h.name = name;
+    h.count = static_cast<std::uint64_t>(hv.num_or("count", 0.0));
+    h.sum = static_cast<std::uint64_t>(hv.num_or("sum", 0.0));
+    if (const JsonValue* bs = hv.find("buckets");
+        bs != nullptr && bs->is_array()) {
+      const std::size_t n = std::min(bs->array.size(), h.buckets.size());
+      for (std::size_t i = 0; i < n; ++i) {
+        h.buckets[i] = static_cast<std::uint64_t>(bs->array[i].number);
+      }
+    }
+    snap.histograms.push_back(std::move(h));
+  }
+  return snap;
+}
+
+CounterSnapshot snapshot_delta(const CounterSnapshot& prev,
+                               const CounterSnapshot& cur) {
+  CounterSnapshot d = cur;  // gauges: current values, not deltas
+  for (std::size_t i = 0; i < d.counters.size(); ++i) {
+    auto& c = d.counters[i];
+    if (const auto* p = find_named(prev.counters, c.name, i)) {
+      c.value -= p->value;
+    }
+  }
+  for (std::size_t i = 0; i < d.histograms.size(); ++i) {
+    auto& h = d.histograms[i];
+    const auto* p = find_named(prev.histograms, h.name, i);
+    if (p == nullptr) continue;
+    h.count -= p->count;
+    h.sum -= p->sum;
+    for (std::size_t b = 0; b < h.buckets.size(); ++b) {
+      h.buckets[b] -= p->buckets[b];
+    }
+  }
+  return d;
 }
 
 double histogram_quantile(const CounterSnapshot::Histogram& h, double q) {
@@ -150,17 +228,6 @@ CounterSnapshot CounterRegistry::snapshot() const {
     snap.histograms.push_back(std::move(h));
   }
   return snap;
-}
-
-void CounterRegistry::clear() {
-  for (auto& s : shards_) {
-    for (auto& v : s->scalars) v.store(0, std::memory_order_relaxed);
-    for (auto& h : s->hists) {
-      for (auto& b : h.buckets) b.store(0, std::memory_order_relaxed);
-      h.count.store(0, std::memory_order_relaxed);
-      h.sum.store(0, std::memory_order_relaxed);
-    }
-  }
 }
 
 }  // namespace amtfmm

@@ -12,13 +12,14 @@
 
 namespace amtfmm {
 
+class JsonValue;
 class JsonWriter;
 
 /// Point-in-time view of every registered metric, merged across the
 /// per-worker shards: counters sum, gauges take the maximum (they record
 /// high-water marks), histograms sum bucket-wise.  Snapshots are attached
-/// to EvalResult/SimResult and serialized by the bench `--json` outputs and
-/// the Chrome trace exporter.
+/// to EvalResult/SimResult, serialized by the bench `--json` outputs and
+/// the Chrome trace exporter, and shipped as telemetry sample windows.
 struct CounterSnapshot {
   struct Scalar {
     std::string name;
@@ -40,11 +41,28 @@ struct CounterSnapshot {
   }
   /// Value of a counter/gauge by name; 0 when absent.
   std::uint64_t value(const std::string& name) const;
+  /// Histogram by name; nullptr when absent.
+  const Histogram* hist(const std::string& name) const;
   /// Serializes the snapshot as one JSON object (counters/gauges flat,
   /// histograms as {count, sum, buckets}).  One writer everywhere, so
-  /// every bench and the trace exporter emit the identical schema.
+  /// every bench, the trace exporter and the telemetry samples emit the
+  /// identical schema.
   void append_json(JsonWriter& w) const;
+  /// The same "counters"/"gauges"/"histograms" members, written into an
+  /// object the caller has open (a telemetry sample's envelope).
+  void append_json_members(JsonWriter& w) const;
+  /// The one reader: the three members of a JSON object written by
+  /// append_json / append_json_members.  Missing members read as empty;
+  /// non-numeric scalar values are skipped.
+  static CounterSnapshot from_json(const JsonValue& v);
 };
+
+/// Window between two snapshots of one registry: counters and histograms
+/// subtract, gauges pass through as current values (they are high-water
+/// marks).  Registry metrics only grow, so no difference is negative; a
+/// metric registered after `prev` was taken counts from zero.
+CounterSnapshot snapshot_delta(const CounterSnapshot& prev,
+                               const CounterSnapshot& cur);
 
 /// Quantile estimate (q in [0, 1]) from a log2-bucketed histogram, used
 /// by the serve latency readouts and amtfmm_top.  The rank q*count is
@@ -98,6 +116,14 @@ class CounterRegistry {
   /// Adds to a counter on the given worker shard.  No-op when disabled.
   void add(int worker, Id id, std::uint64_t delta = 1) {
     if (!enabled()) return;
+    add_ungated(worker, id, delta);
+  }
+
+  /// Adds to a counter whatever the enabled flag says.  Reserved for the
+  /// communication counts (`comm.*`, `coalesce.flush_*`) that
+  /// EvalResult::comm and the per-epoch wire-bytes identity read even
+  /// with metrics off; LocalityRuntime is the only direct caller.
+  void add_ungated(int worker, Id id, std::uint64_t delta = 1) {
     shard(worker).scalars[id].fetch_add(delta, std::memory_order_relaxed);
   }
 
@@ -135,8 +161,6 @@ class CounterRegistry {
   }
 
   CounterSnapshot snapshot() const;
-  /// Zeroes every shard (registrations are kept).
-  void clear();
 
   /// log2 bucket index of a value (bucket 0 holds 0 and 1).
   static std::size_t bucket_of(std::uint64_t v) {

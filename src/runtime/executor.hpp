@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -63,8 +62,12 @@ struct CoalesceConfig {
   double flush_deadline = 100e-6;   ///< seconds on the executor clock
 };
 
-/// Snapshot of the communication counters kept by every executor.  With
-/// coalescing disabled, batches == parcels and the coalescing factor is 1.
+struct CounterSnapshot;
+
+/// Communication counts of one executor, derived from its counter registry
+/// (`comm.*` and `coalesce.flush_*`, which count whether or not metrics
+/// are enabled).  With coalescing disabled, batches == parcels and the
+/// coalescing factor is 1.
 struct CommStats {
   std::uint64_t parcels = 0;  ///< logical parcels handed to send()
   std::uint64_t batches = 0;  ///< physical wire messages delivered
@@ -72,12 +75,9 @@ struct CommStats {
   std::uint64_t flush_threshold = 0;   ///< batches flushed on size/bytes cap
   std::uint64_t flush_deadline = 0;    ///< ... on flush-deadline expiry
   std::uint64_t flush_quiescence = 0;  ///< ... on scheduler quiescence
-  std::vector<std::uint64_t> parcels_to;  ///< per destination locality
-  std::vector<std::uint64_t> batches_to;
-  std::vector<std::uint64_t> bytes_to;
-  /// Histogram of batch sizes: bucket i counts batches of [2^i, 2^(i+1))
-  /// parcels.
-  std::array<std::uint64_t, 16> batch_size_log2{};
+
+  /// The counts held in a registry snapshot (or a snapshot_delta window).
+  static CommStats from(const CounterSnapshot& s);
 
   double coalescing_factor() const {
     return batches == 0 ? 1.0
@@ -101,7 +101,7 @@ class CounterRegistry;
 /// std::thread pool (ThreadExecutor) and a discrete-event simulation
 /// (SimExecutor) used for the strong-scaling reproduction (see DESIGN.md).
 /// Both are thin schedulers over one shared LocalityRuntime, which owns
-/// the coalescing buffers, comm counters, trace sink, and quiescence
+/// the coalescing buffers, counter registry, trace sink, and quiescence
 /// bookkeeping.
 class Executor {
  public:
@@ -178,14 +178,18 @@ class Executor {
   CounterRegistry& counters();
   const CounterRegistry& counters() const;
 
-  /// Communication counters: parcels, batches, bytes sent across
-  /// localities, flush triggers, per-destination histograms.
+  /// Communication counts read from the registry: parcels, batches and
+  /// bytes sent across localities, and flush triggers.
   CommStats comm_stats() const;
 
   /// The shared runtime core backing this executor.
   LocalityRuntime& runtime();
 
  protected:
+  Executor() = default;
+  /// For executors whose members need the runtime during construction.
+  explicit Executor(std::unique_ptr<LocalityRuntime> rt);
+
   std::unique_ptr<LocalityRuntime> rt_;
 };
 

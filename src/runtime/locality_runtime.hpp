@@ -16,8 +16,9 @@ namespace amtfmm {
 
 /// Ids of the standard runtime metrics, registered by LocalityRuntime at
 /// construction so hot paths never pay a name lookup.  Taxonomy (see
-/// DESIGN.md "Observability"): `sched.*` scheduler behaviour, `coalesce.*`
-/// the parcel coalescing layer, `lco.*` dataflow synchronization, `gas.*`
+/// DESIGN.md "Observability"): `sched.*` scheduler behaviour, `comm.*`
+/// cross-locality parcels, wire messages and bytes, `coalesce.*` the
+/// parcel coalescing layer, `lco.*` dataflow synchronization, `gas.*`
 /// global-address-space occupancy, `op.<name>.tasks` per-operator task
 /// counts filled by the DAG engine, `serve.*` the resident-pipeline epoch
 /// lifecycle (re-evaluations, reset latency, incremental-update churn,
@@ -31,10 +32,13 @@ struct RuntimeCounterIds {
   CounterRegistry::Id inbox_tasks = 0;
   CounterRegistry::Id tasks_run = 0;
   CounterRegistry::Id deque_depth_hw = 0;       ///< gauge
+  CounterRegistry::Id comm_parcels = 0;         ///< ungated
+  CounterRegistry::Id comm_batches = 0;         ///< ungated
+  CounterRegistry::Id comm_bytes = 0;           ///< ungated
+  CounterRegistry::Id comm_batch_parcels = 0;   ///< histogram
   CounterRegistry::Id coalesce_buffered_hw = 0; ///< gauge
-  CounterRegistry::Id flush_threshold = 0;
-  CounterRegistry::Id flush_deadline = 0;
-  CounterRegistry::Id flush_quiescence = 0;
+  /// Ungated batch counts per flush trigger, indexed by FlushReason.
+  std::array<CounterRegistry::Id, 3> flush{};
   CounterRegistry::Id gas_objects_hw = 0;       ///< gauge
   CounterRegistry::Id lco_input_wait_us = 0;    ///< histogram
   CounterRegistry::Id serve_epochs = 0;         ///< resident re-evaluations
@@ -46,11 +50,12 @@ struct RuntimeCounterIds {
 };
 
 /// The executor-agnostic per-process runtime core shared by both execution
-/// substrates: parcel coalescing buffers, communication counters, the trace
-/// sink, and the buffered-parcel quiescence bookkeeping.  ThreadExecutor
-/// and SimExecutor are thin schedulers over this one component — they own
-/// *when* tasks run and what transport costs, while LocalityRuntime owns
-/// *what* is buffered, counted, and traced.
+/// substrates: parcel coalescing buffers, the counter registry (which also
+/// holds the communication counts), the trace sink, and the buffered-parcel
+/// quiescence bookkeeping.  ThreadExecutor and SimExecutor are thin
+/// schedulers over this one component — they own *when* tasks run and what
+/// transport costs, while LocalityRuntime owns *what* is buffered, counted,
+/// and traced.
 class LocalityRuntime {
  public:
   /// The outcome of handing one remote parcel to the runtime.
@@ -66,7 +71,6 @@ class LocalityRuntime {
   LocalityRuntime(int num_localities, int total_workers,
                   const CoalesceConfig& coalesce)
       : coalescer_(num_localities, coalesce),
-        counters_(num_localities),
         trace_(total_workers),
         metrics_(total_workers) {
     ids_.steal_attempts = metrics_.counter("sched.steal_attempts");
@@ -77,10 +81,14 @@ class LocalityRuntime {
     ids_.inbox_tasks = metrics_.counter("sched.inbox_tasks");
     ids_.tasks_run = metrics_.counter("sched.tasks_run");
     ids_.deque_depth_hw = metrics_.gauge("sched.deque_depth_hw");
+    ids_.comm_parcels = metrics_.counter("comm.parcels");
+    ids_.comm_batches = metrics_.counter("comm.batches");
+    ids_.comm_bytes = metrics_.counter("comm.bytes");
+    ids_.comm_batch_parcels = metrics_.histogram("comm.batch_parcels");
     ids_.coalesce_buffered_hw = metrics_.gauge("coalesce.buffered_hw");
-    ids_.flush_threshold = metrics_.counter("coalesce.flush_threshold");
-    ids_.flush_deadline = metrics_.counter("coalesce.flush_deadline");
-    ids_.flush_quiescence = metrics_.counter("coalesce.flush_quiescence");
+    ids_.flush = {metrics_.counter("coalesce.flush_threshold"),
+                  metrics_.counter("coalesce.flush_deadline"),
+                  metrics_.counter("coalesce.flush_quiescence")};
     ids_.gas_objects_hw = metrics_.gauge("gas.objects_hw");
     ids_.lco_input_wait_us = metrics_.histogram("lco.input_wait_us");
     ids_.serve_epochs = metrics_.counter("serve.epochs");
@@ -95,15 +103,18 @@ class LocalityRuntime {
     }
   }
 
-  /// Accounts one logical parcel and either returns it as a ready wire
-  /// message or buffers it.  With coalescing off the parcel always comes
-  /// back as a single-parcel batch (coalesced == false) for the executor to
-  /// transmit directly; with coalescing on, a batch is returned only when
-  /// the append crossed a threshold, and the buffered_ quiescence counter
-  /// is raised *before* the parcel enters the buffer.
+  /// Accounts one logical parcel (comm.parcels/bytes, counted even with
+  /// metrics off) and either returns it as a ready wire message or buffers
+  /// it.  With coalescing off the parcel always comes back as a
+  /// single-parcel batch (coalesced == false) for the executor to transmit
+  /// directly; with coalescing on, a batch is returned only when the append
+  /// crossed a threshold, and the buffered_ quiescence counter is raised
+  /// *before* the parcel enters the buffer.
   Outgoing submit(std::uint32_t from, std::uint32_t to, std::size_t bytes,
                   Task t, double now) {
-    counters_.on_parcel(to, bytes);
+    const int w = metric_worker();
+    metrics_.add_ungated(w, ids_.comm_parcels);
+    metrics_.add_ungated(w, ids_.comm_bytes, bytes);
     Outgoing out;
     if (!coalescer_.config().enabled) {
       ParcelBatch b;
@@ -118,7 +129,7 @@ class LocalityRuntime {
     out.coalesced = true;
     const std::int64_t cur =
         buffered_.fetch_add(1, std::memory_order_seq_cst) + 1;
-    metrics_.gauge_max(metric_worker(), ids_.coalesce_buffered_hw,
+    metrics_.gauge_max(w, ids_.coalesce_buffered_hw,
                        static_cast<std::uint64_t>(cur));
     auto r = coalescer_.enqueue(from, to, bytes, std::move(t), now);
     if (r.ready) out.batch = std::move(*r.ready);
@@ -127,26 +138,17 @@ class LocalityRuntime {
     return out;
   }
 
-  /// Accounts one wire message at transmission: batch counters, flush
-  /// reason (coalesced batches only), and the wire trace record with the
+  /// Accounts one wire message at transmission: the batch count and flush
+  /// reason (coalesced batches only; both counted even with metrics off),
+  /// the batch-size histogram, and the wire trace record with the
   /// executor-supplied start/arrival times.
   void account_batch(const ParcelBatch& b, double start, double arrival,
                      bool coalesced) {
-    counters_.on_batch(b.dst, b.tasks.size(), b.bytes);
+    const int w = metric_worker();
+    metrics_.add_ungated(w, ids_.comm_batches);
+    metrics_.observe(w, ids_.comm_batch_parcels, b.tasks.size());
     if (coalesced) {
-      counters_.on_reason(b.reason);
-      const int w = metric_worker();
-      switch (b.reason) {
-        case FlushReason::kThreshold:
-          metrics_.add(w, ids_.flush_threshold);
-          break;
-        case FlushReason::kDeadline:
-          metrics_.add(w, ids_.flush_deadline);
-          break;
-        case FlushReason::kQuiescence:
-          metrics_.add(w, ids_.flush_quiescence);
-          break;
-      }
+      metrics_.add_ungated(w, ids_.flush[static_cast<std::size_t>(b.reason)]);
     }
     if (trace_.enabled()) {
       trace_.record_comm(TraceEvent::wire(
@@ -200,11 +202,8 @@ class LocalityRuntime {
     return w >= 0 ? w : 0;
   }
 
-  CommStats comm_stats() const { return counters_.snapshot(); }
-
  private:
   ParcelCoalescer coalescer_;
-  CommCounters counters_;
   TraceSink trace_;
   CounterRegistry metrics_;
   RuntimeCounterIds ids_;

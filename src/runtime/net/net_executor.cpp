@@ -10,35 +10,20 @@ namespace amtfmm::net {
 
 NetExecutor::NetExecutor(const NetConfig& cfg, int cores,
                          CoalesceConfig coalesce)
-    : cfg_(cfg),
+    : Executor(std::make_unique<LocalityRuntime>(
+          // The coalescer sees the full world (destinations are global
+          // ranks); trace and counters see only the local workers.
+          static_cast<int>(cfg.world), cores, coalesce)),
+      cfg_(cfg),
       cores_(cores),
       epoch_(std::chrono::steady_clock::now()),
       transport_(
-          cfg, [this](WireBatch&& b) { on_net_batch(std::move(b)); },
+          cfg, rt_->counters(),
+          [this](WireBatch&& b) { on_net_batch(std::move(b)); },
           [this](const ControlMsg& m) { on_net_control(m); },
-          [this](const std::string& why) { on_net_failure(why); }) {
+          [this](const std::string& why) { on_net_failure(why); }),
+      term_rounds_(rt_->counters().counter("net.termination_rounds")) {
   AMTFMM_ASSERT(cores_ >= 1);
-  // The coalescer/CommStats see the full world (destinations are global
-  // ranks); trace and counters see only the local workers.
-  rt_ = std::make_unique<LocalityRuntime>(static_cast<int>(cfg_.world),
-                                          cores_, coalesce);
-  auto& reg = rt_->counters();
-  nid_.msgs_sent = reg.counter("net.msgs_sent");
-  nid_.msgs_recvd = reg.counter("net.msgs_recvd");
-  nid_.wire_bytes_sent = reg.counter("net.wire_bytes_sent");
-  nid_.wire_bytes_recvd = reg.counter("net.wire_bytes_recvd");
-  nid_.progress_iters = reg.counter("net.progress_iters");
-  nid_.idle_polls = reg.counter("net.idle_polls");
-  nid_.partial_writes = reg.counter("net.partial_writes");
-  nid_.backpressure_stalls = reg.counter("net.backpressure_stalls");
-  nid_.backpressure_stall_us = reg.counter("net.backpressure_stall_us");
-  nid_.control_msgs = reg.counter("net.control_msgs");
-  nid_.termination_rounds = reg.counter("net.termination_rounds");
-  nid_.telemetry_sent = reg.counter("net.telemetry_sent");
-  nid_.telemetry_recvd = reg.counter("net.telemetry_recvd");
-  nid_.inject_depth_hwm = reg.gauge("net.inject_depth_hwm");
-  nid_.inject_bytes_hwm = reg.gauge("net.inject_bytes_hwm");
-
   inorder_.reserve(cfg_.world);
   for (std::uint32_t r = 0; r < cfg_.world; ++r) {
     inorder_.push_back(std::make_unique<InOrder>());
@@ -384,7 +369,7 @@ bool NetExecutor::coordinate_round() {
   {
     SyncLockGuard lk(mu_);
     round = ++round_;
-    ++term_rounds_stat_;
+    rt_->counters().add(0, term_rounds_);
     // Snapshot under mu_: the thread-safety analysis caught the decide-
     // termination path below reading drains_done_ with no lock held.
     epoch = drains_done_ + 1;
@@ -472,7 +457,7 @@ bool NetExecutor::follower_wait() {
       // counter pair is a consistent local snapshot.
       ack.b = sent_parcels_.load(std::memory_order_relaxed);
       ack.c = recvd_parcels_.load(std::memory_order_relaxed);
-      ++term_rounds_stat_;
+      rt_->counters().add(0, term_rounds_);
       lk.unlock();
       transport_.post_control(0, ack);
       lk.lock();
@@ -528,54 +513,7 @@ double NetExecutor::drain() {
     prev_round_valid_ = false;
     for (auto& a : acks_) a.reset();
   }
-  fold_net_counters();
   return now() - t0;
-}
-
-void NetExecutor::fold_net_counters() {
-  auto& reg = rt_->counters();
-  if (!reg.enabled()) return;
-  const NetStats& s = transport_.stats();
-  // Snapshot under mu_: followers bump term_rounds_stat_ from worker
-  // threads, so the old unlocked read here was a (benign-looking) race
-  // the thread-safety analysis rejected.
-  std::uint64_t term_rounds = 0;
-  {
-    SyncLockGuard lk(mu_);
-    term_rounds = term_rounds_stat_;
-  }
-  const std::uint64_t cur[13] = {
-      s.msgs_sent.load(std::memory_order_relaxed),
-      s.msgs_recvd.load(std::memory_order_relaxed),
-      s.wire_bytes_sent.load(std::memory_order_relaxed),
-      s.wire_bytes_recvd.load(std::memory_order_relaxed),
-      s.progress_iters.load(std::memory_order_relaxed),
-      s.idle_polls.load(std::memory_order_relaxed),
-      s.partial_writes.load(std::memory_order_relaxed),
-      s.backpressure_stalls.load(std::memory_order_relaxed),
-      s.backpressure_stall_us.load(std::memory_order_relaxed),
-      s.control_msgs.load(std::memory_order_relaxed),
-      term_rounds,
-      s.telemetry_sent.load(std::memory_order_relaxed),
-      s.telemetry_recvd.load(std::memory_order_relaxed),
-  };
-  const CounterRegistry::Id ids[13] = {
-      nid_.msgs_sent,          nid_.msgs_recvd,
-      nid_.wire_bytes_sent,    nid_.wire_bytes_recvd,
-      nid_.progress_iters,     nid_.idle_polls,
-      nid_.partial_writes,     nid_.backpressure_stalls,
-      nid_.backpressure_stall_us, nid_.control_msgs,
-      nid_.termination_rounds, nid_.telemetry_sent,
-      nid_.telemetry_recvd,
-  };
-  for (int i = 0; i < 13; ++i) {
-    reg.add(0, ids[i], cur[i] - folded_[i]);
-    folded_[i] = cur[i];
-  }
-  reg.gauge_max(0, nid_.inject_depth_hwm,
-                s.inject_depth_hwm.load(std::memory_order_relaxed));
-  reg.gauge_max(0, nid_.inject_bytes_hwm,
-                s.inject_bytes_hwm.load(std::memory_order_relaxed));
 }
 
 }  // namespace amtfmm::net

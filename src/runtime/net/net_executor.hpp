@@ -71,7 +71,6 @@ class NetExecutor final : public Executor {
 
   std::uint32_t rank() const { return cfg_.rank; }
   std::uint32_t world() const { return cfg_.world; }
-  const NetStats& net_stats() const { return transport_.stats(); }
 
   /// Startup clock-sync result against rank 0 (identity on rank 0).
   /// Measured once right after the mesh comes up; feeds trace metadata so
@@ -100,13 +99,6 @@ class NetExecutor final : public Executor {
     std::uint64_t sent = 0;
     std::uint64_t recvd = 0;
   };
-  struct NetCounterIds {
-    CounterRegistry::Id msgs_sent, msgs_recvd, wire_bytes_sent,
-        wire_bytes_recvd, progress_iters, idle_polls, partial_writes,
-        backpressure_stalls, backpressure_stall_us, control_msgs,
-        termination_rounds, telemetry_sent, telemetry_recvd;  // counters
-    CounterRegistry::Id inject_depth_hwm, inject_bytes_hwm;  // gauges
-  };
 
   void worker_loop(int w);
   /// Serializes and posts one batch to its destination rank.  Counter
@@ -129,14 +121,13 @@ class NetExecutor final : public Executor {
   /// false when new local work arrived.
   bool follower_wait();
   void throw_if_failed();
-  /// Folds transport stats into the net.* registry counters (deltas, so
-  /// repeated drains never double-count).
-  void fold_net_counters();
 
   NetConfig cfg_;
   int cores_;
   std::chrono::steady_clock::time_point epoch_;
   NetTransport transport_;
+  /// `net.termination_rounds`: probe rounds coordinated or answered.
+  const CounterRegistry::Id term_rounds_;
   ClockSyncResult clock_sync_;  ///< measured once in the constructor
 
   // Worker pool (mu_ guards the queues and all termination state).
@@ -174,12 +165,8 @@ class NetExecutor final : public Executor {
   /// Latest kTerminate received.
   std::uint64_t terminate_epoch_ GUARDED_BY(mu_) = 0;
   std::uint64_t drains_done_ GUARDED_BY(mu_) = 0;
-  std::uint64_t term_rounds_stat_ GUARDED_BY(mu_) = 0;
   bool net_failed_ GUARDED_BY(mu_) = false;
   std::string net_failure_ GUARDED_BY(mu_);
-
-  NetCounterIds nid_{};
-  std::uint64_t folded_[13] = {};  ///< previously folded counter values
 };
 
 }  // namespace amtfmm::net

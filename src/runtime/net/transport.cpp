@@ -100,9 +100,25 @@ std::optional<NetConfig> net_config_from_env() {
   return cfg;
 }
 
-NetTransport::NetTransport(NetConfig cfg, BatchFn on_batch,
-                           ControlFn on_control, FailFn on_failure)
+NetTransport::NetTransport(NetConfig cfg, CounterRegistry& counters,
+                           BatchFn on_batch, ControlFn on_control,
+                           FailFn on_failure)
     : cfg_(std::move(cfg)),
+      reg_(counters),
+      msgs_sent_(reg_.counter("net.msgs_sent")),
+      msgs_recvd_(reg_.counter("net.msgs_recvd")),
+      wire_bytes_sent_(reg_.counter("net.wire_bytes_sent")),
+      wire_bytes_recvd_(reg_.counter("net.wire_bytes_recvd")),
+      progress_iters_(reg_.counter("net.progress_iters")),
+      idle_polls_(reg_.counter("net.idle_polls")),
+      partial_writes_(reg_.counter("net.partial_writes")),
+      backpressure_stalls_(reg_.counter("net.backpressure_stalls")),
+      backpressure_stall_us_(reg_.counter("net.backpressure_stall_us")),
+      control_msgs_(reg_.counter("net.control_msgs")),
+      telemetry_sent_(reg_.counter("net.telemetry_sent")),
+      telemetry_recvd_(reg_.counter("net.telemetry_recvd")),
+      inject_depth_hwm_(reg_.gauge("net.inject_depth_hwm")),
+      inject_bytes_hwm_(reg_.gauge("net.inject_bytes_hwm")),
       on_batch_(std::move(on_batch)),
       on_control_(std::move(on_control)),
       on_failure_(std::move(on_failure)) {
@@ -246,14 +262,13 @@ bool NetTransport::post_batch(std::uint32_t dst, const WireBatch& b) {
       if (!stalled) {
         stalled = true;
         t0 = steady_seconds();
-        stats_.backpressure_stalls.fetch_add(1, std::memory_order_relaxed);
+        count(backpressure_stalls_);
       }
       window_cv_.wait(lk);
     }
     if (stalled) {
-      stats_.backpressure_stall_us.fetch_add(
-          static_cast<std::uint64_t>((steady_seconds() - t0) * 1e6),
-          std::memory_order_relaxed);
+      count(backpressure_stall_us_,
+            static_cast<std::uint64_t>((steady_seconds() - t0) * 1e6));
     }
     if (failed_.load(std::memory_order_relaxed) ||
         stop_requested_.load(std::memory_order_relaxed)) {
@@ -269,16 +284,10 @@ bool NetTransport::post_batch(std::uint32_t dst, const WireBatch& b) {
       return false;
     }
     outstanding_bytes_ += sz;
-    stats_.inject_bytes_hwm.store(
-        std::max(stats_.inject_bytes_hwm.load(std::memory_order_relaxed),
-                 static_cast<std::uint64_t>(outstanding_bytes_)),
-        std::memory_order_relaxed);
+    reg_.gauge_max(0, inject_bytes_hwm_, outstanding_bytes_);
     outboxes_[dst].push_back(std::move(m));
     ++queued_msgs_;
-    stats_.inject_depth_hwm.store(
-        std::max(stats_.inject_depth_hwm.load(std::memory_order_relaxed),
-                 static_cast<std::uint64_t>(queued_msgs_)),
-        std::memory_order_relaxed);
+    reg_.gauge_max(0, inject_depth_hwm_, queued_msgs_);
   }
   poke(wake_);
   return true;
@@ -297,7 +306,7 @@ void NetTransport::post_control(std::uint32_t dst, const ControlMsg& m) {
     outboxes_[dst].push_back(std::move(out));
     ++queued_msgs_;
   }
-  stats_.control_msgs.fetch_add(1, std::memory_order_relaxed);
+  count(control_msgs_);
   poke(wake_);
 }
 
@@ -322,7 +331,7 @@ bool NetTransport::post_telemetry(std::uint32_t dst,
     outboxes_[dst].push_back(std::move(out));
     ++queued_msgs_;
   }
-  stats_.telemetry_sent.fetch_add(1, std::memory_order_relaxed);
+  count(telemetry_sent_);
   poke(wake_);
   return true;
 }
@@ -475,9 +484,9 @@ void NetTransport::progress_main() {
       }
     }
     auto ready = poll_ready(fds, want_write, 100);
-    stats_.progress_iters.fetch_add(1, std::memory_order_relaxed);
+    count(progress_iters_);
     if (ready.empty()) {
-      stats_.idle_polls.fetch_add(1, std::memory_order_relaxed);
+      count(idle_polls_);
       continue;
     }
     (void)any_queued;
@@ -508,7 +517,7 @@ void NetTransport::do_read(std::uint32_t rank, std::vector<std::byte>& buf) {
       return;
     }
     if (r.bytes > 0) {
-      stats_.wire_bytes_recvd.fetch_add(r.bytes, std::memory_order_relaxed);
+      count(wire_bytes_recvd_, r.bytes);
       p.decoder.feed(buf.data(), r.bytes);
       while (auto f = p.decoder.next()) dispatch(rank, std::move(*f));
       if (p.decoder.failed()) {
@@ -577,14 +586,14 @@ void NetTransport::do_write(std::uint32_t rank) {
     }
     if (r.bytes == 0) {  // EAGAIN mid-frame
       if (p.write_off > 0) {
-        stats_.partial_writes.fetch_add(1, std::memory_order_relaxed);
+        count(partial_writes_);
       }
       return;
     }
-    stats_.wire_bytes_sent.fetch_add(r.bytes, std::memory_order_relaxed);
+    count(wire_bytes_sent_, r.bytes);
     p.write_off += r.bytes;
     if (p.write_off < m.bytes.size()) continue;  // more of this frame
-    stats_.msgs_sent.fetch_add(1, std::memory_order_relaxed);
+    count(msgs_sent_);
     lk.lock();
     if (m.counts_window) {
       outstanding_bytes_ -= m.bytes.size();
@@ -604,12 +613,12 @@ void NetTransport::dispatch(std::uint32_t rank, FrameDecoder::Frame&& f) {
       fail("batch from rank " + std::to_string(rank) + ": " + err);
       return;
     }
-    stats_.msgs_recvd.fetch_add(1, std::memory_order_relaxed);
+    count(msgs_recvd_);
     if (on_batch_) on_batch_(std::move(*b));
     return;
   }
   if (f.kind == FrameKind::kTelemetry) {
-    stats_.telemetry_recvd.fetch_add(1, std::memory_order_relaxed);
+    count(telemetry_recvd_);
     TelemetryFn fn;
     {
       SyncLockGuard lk(telem_mu_);

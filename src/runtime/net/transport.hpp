@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "runtime/counters.hpp"
 #include "runtime/net/frame.hpp"
 #include "runtime/net/socket.hpp"
 #include "runtime/sync_hook.hpp"
@@ -42,26 +43,6 @@ struct NetConfig {
 /// is unset (the process is not part of a launched world).
 std::optional<NetConfig> net_config_from_env();
 
-/// Raw transport statistics, exported as `net.*` counters by NetExecutor.
-/// Plain relaxed atomics: every field is an independent monotone count or
-/// high-water mark, read for diagnostics only.
-struct NetStats {
-  std::atomic<std::uint64_t> msgs_sent{0};    ///< frames fully written
-  std::atomic<std::uint64_t> msgs_recvd{0};   ///< frames fully decoded
-  std::atomic<std::uint64_t> wire_bytes_sent{0};   ///< raw socket bytes
-  std::atomic<std::uint64_t> wire_bytes_recvd{0};  ///< (incl. framing)
-  std::atomic<std::uint64_t> progress_iters{0};
-  std::atomic<std::uint64_t> idle_polls{0};
-  std::atomic<std::uint64_t> partial_writes{0};
-  std::atomic<std::uint64_t> inject_depth_hwm{0};  ///< queued frames
-  std::atomic<std::uint64_t> inject_bytes_hwm{0};  ///< outstanding bytes
-  std::atomic<std::uint64_t> backpressure_stalls{0};
-  std::atomic<std::uint64_t> backpressure_stall_us{0};
-  std::atomic<std::uint64_t> control_msgs{0};     ///< control frames sent
-  std::atomic<std::uint64_t> telemetry_sent{0};   ///< telemetry frames sent
-  std::atomic<std::uint64_t> telemetry_recvd{0};  ///< telemetry frames recvd
-};
-
 /// Result of the startup clock-sync exchange against rank 0: the
 /// estimated steady-clock offset of THIS rank relative to rank 0
 /// (rank0_steady ≈ local_steady - offset_s), with a conservative error
@@ -93,6 +74,10 @@ struct ClockSyncResult {
 ///  - Control frames bypass the window: the termination protocol must
 ///    make progress even when the window is saturated with batches.
 ///
+/// Metrics: the transport registers its `net.*` counters and gauges in the
+/// registry it is given and updates them live on shard 0 (dropped while
+/// the registry is disabled, like every gated metric).
+///
 /// Failure model: a peer closing its connection before allow_peer_close()
 /// — or any malformed byte stream — moves the transport into a sticky
 /// failed state, unblocks all posters (their frames are dropped), and
@@ -106,8 +91,8 @@ class NetTransport {
   using TelemetryFn =
       std::function<void(std::uint32_t src, std::vector<std::byte>&&)>;
 
-  NetTransport(NetConfig cfg, BatchFn on_batch, ControlFn on_control,
-               FailFn on_failure);
+  NetTransport(NetConfig cfg, CounterRegistry& counters, BatchFn on_batch,
+               ControlFn on_control, FailFn on_failure);
   ~NetTransport();
 
   NetTransport(const NetTransport&) = delete;
@@ -163,7 +148,6 @@ class NetTransport {
   }
   std::string failure_text() const;
 
-  const NetStats& stats() const { return stats_; }
   const NetConfig& config() const { return cfg_; }
 
  private:
@@ -200,7 +184,22 @@ class NetTransport {
   Fd connect_with_retry(std::uint32_t peer, double deadline);
   Fd accept_with_deadline(double deadline);
 
+  void count(CounterRegistry::Id id, std::uint64_t delta = 1) {
+    reg_.add(0, id, delta);
+  }
+
   NetConfig cfg_;
+  CounterRegistry& reg_;
+  /// Counters: frames fully written / batch frames fully decoded, raw
+  /// socket bytes (framing included), progress-loop iterations and idle
+  /// polls, writes stopped mid-frame, window stalls and their duration,
+  /// control frames sent, telemetry frames sent / received.
+  const CounterRegistry::Id msgs_sent_, msgs_recvd_, wire_bytes_sent_,
+      wire_bytes_recvd_, progress_iters_, idle_polls_, partial_writes_,
+      backpressure_stalls_, backpressure_stall_us_, control_msgs_,
+      telemetry_sent_, telemetry_recvd_;
+  /// Gauges: queued frames and outstanding window bytes (high water).
+  const CounterRegistry::Id inject_depth_hwm_, inject_bytes_hwm_;
   BatchFn on_batch_;
   ControlFn on_control_;
   FailFn on_failure_;
@@ -211,7 +210,6 @@ class NetTransport {
   Fd listener_;
   WakePipe wake_;
   std::thread progress_;
-  NetStats stats_;
 
   mutable SyncMutex mu_;  ///< outboxes, window accounting, failure text
   SyncCondVar window_cv_;

@@ -12,6 +12,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Bumped whenever a sample key changes (2: "hists" became "histograms").
+constexpr std::uint64_t kSampleVersion = 2;
+
 double seconds_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
@@ -43,112 +46,14 @@ void prom_line(std::string& out, const std::string& metric,
 
 }  // namespace
 
-std::uint64_t TelemetrySample::value(const std::string& name) const {
-  for (const auto& c : counters) {
-    if (c.name == name) return c.value;
-  }
-  for (const auto& g : gauges) {
-    if (g.name == name) return g.value;
-  }
-  return 0;
-}
-
-const CounterSnapshot::Histogram* TelemetrySample::hist(
-    const std::string& name) const {
-  for (const auto& h : hists) {
-    if (h.name == name) return &h;
-  }
-  return nullptr;
-}
-
-TelemetrySample telemetry_delta(const CounterSnapshot& prev,
-                                const CounterSnapshot& cur) {
-  TelemetrySample s;
-  // Snapshots of one registry list metrics in registration order, so the
-  // common case is index alignment; fall back to a name scan if the shapes
-  // ever diverge (a metric registered between the two snapshots).
-  auto prev_scalar = [](const std::vector<CounterSnapshot::Scalar>& v,
-                        const std::string& name,
-                        std::size_t hint) -> std::uint64_t {
-    if (hint < v.size() && v[hint].name == name) return v[hint].value;
-    for (const auto& p : v) {
-      if (p.name == name) return p.value;
-    }
-    return 0;
-  };
-  s.counters.reserve(cur.counters.size());
-  for (std::size_t i = 0; i < cur.counters.size(); ++i) {
-    const auto& c = cur.counters[i];
-    const std::uint64_t p = prev_scalar(prev.counters, c.name, i);
-    // Clamp at 0: a clear() between snapshots makes cur < prev.
-    s.counters.push_back({c.name, c.value >= p ? c.value - p : c.value});
-  }
-  s.gauges = cur.gauges;  // high-water marks: current value, not a delta
-  s.hists.reserve(cur.histograms.size());
-  for (std::size_t i = 0; i < cur.histograms.size(); ++i) {
-    const auto& c = cur.histograms[i];
-    const CounterSnapshot::Histogram* p = nullptr;
-    if (i < prev.histograms.size() && prev.histograms[i].name == c.name) {
-      p = &prev.histograms[i];
-    } else {
-      for (const auto& ph : prev.histograms) {
-        if (ph.name == c.name) {
-          p = &ph;
-          break;
-        }
-      }
-    }
-    CounterSnapshot::Histogram d;
-    d.name = c.name;
-    if (p != nullptr && c.count >= p->count) {
-      d.count = c.count - p->count;
-      d.sum = c.sum >= p->sum ? c.sum - p->sum : 0;
-      for (std::size_t b = 0; b < d.buckets.size(); ++b) {
-        d.buckets[b] = c.buckets[b] >= p->buckets[b]
-                           ? c.buckets[b] - p->buckets[b]
-                           : 0;
-      }
-    } else {
-      d.count = c.count;
-      d.sum = c.sum;
-      d.buckets = c.buckets;
-    }
-    s.hists.push_back(std::move(d));
-  }
-  return s;
-}
-
 void telemetry_append_json(JsonWriter& w, const TelemetrySample& s) {
   w.begin_object();
-  w.kv("v", std::uint64_t{1});
+  w.kv("v", kSampleVersion);
   w.kv("rank", static_cast<std::uint64_t>(s.rank));
   w.kv("seq", s.seq);
   w.kv("t_s", s.t_s);
   w.kv("dt_s", s.dt_s);
-  w.key("counters");
-  w.begin_object();
-  for (const auto& c : s.counters) w.kv(c.name, c.value);
-  w.end_object();
-  w.key("gauges");
-  w.begin_object();
-  for (const auto& g : s.gauges) w.kv(g.name, g.value);
-  w.end_object();
-  w.key("hists");
-  w.begin_object();
-  for (const auto& h : s.hists) {
-    w.key(h.name);
-    w.begin_object();
-    w.kv("count", h.count);
-    w.kv("sum", h.sum);
-    w.key("buckets");
-    w.begin_array();
-    std::size_t last = h.buckets.size();
-    while (last > 0 && h.buckets[last - 1] == 0) --last;
-    for (std::size_t i = 0; i < last; ++i) w.value(h.buckets[i]);
-    w.end_array();
-    w.end_object();
-  }
-  w.end_object();
+  s.window.append_json_members(w);
   w.end_object();
 }
 
@@ -160,46 +65,21 @@ std::string telemetry_encode(const TelemetrySample& s) {
 
 namespace {
 
-bool sample_from_value(const JsonValue& v, TelemetrySample& out,
-                       std::string& error) {
+bool decode_sample(const JsonValue& v, TelemetrySample& out,
+                   std::string& error) {
   if (!v.is_object()) {
     error = "telemetry sample is not an object";
     return false;
   }
-  if (static_cast<int>(v.num_or("v", 0)) != 1) {
+  if (v.num_or("v", 0) != static_cast<double>(kSampleVersion)) {
     error = "telemetry sample has unknown version";
     return false;
   }
-  out = TelemetrySample{};
   out.rank = static_cast<std::uint32_t>(v.num_or("rank", 0));
   out.seq = static_cast<std::uint64_t>(v.num_or("seq", 0));
   out.t_s = v.num_or("t_s", 0.0);
   out.dt_s = v.num_or("dt_s", 0.0);
-  auto scalars = [](const JsonValue* obj,
-                    std::vector<CounterSnapshot::Scalar>& dst) {
-    if (obj == nullptr || !obj->is_object()) return;
-    for (const auto& [name, val] : obj->object) {
-      dst.push_back({name, static_cast<std::uint64_t>(val.number)});
-    }
-  };
-  scalars(v.find("counters"), out.counters);
-  scalars(v.find("gauges"), out.gauges);
-  if (const JsonValue* hs = v.find("hists"); hs != nullptr && hs->is_object()) {
-    for (const auto& [name, hv] : hs->object) {
-      CounterSnapshot::Histogram h;
-      h.name = name;
-      h.count = static_cast<std::uint64_t>(hv.num_or("count", 0));
-      h.sum = static_cast<std::uint64_t>(hv.num_or("sum", 0));
-      if (const JsonValue* bs = hv.find("buckets");
-          bs != nullptr && bs->is_array()) {
-        const std::size_t n = std::min(bs->array.size(), h.buckets.size());
-        for (std::size_t i = 0; i < n; ++i) {
-          h.buckets[i] = static_cast<std::uint64_t>(bs->array[i].number);
-        }
-      }
-      out.hists.push_back(std::move(h));
-    }
-  }
+  out.window = CounterSnapshot::from_json(v);
   return true;
 }
 
@@ -209,7 +89,7 @@ bool telemetry_decode(const std::string& text, TelemetrySample& out,
                       std::string& error) {
   JsonValue v;
   if (!json_parse(text, v, error)) return false;
-  return sample_from_value(v, out, error);
+  return decode_sample(v, out, error);
 }
 
 std::string telemetry_render_prom(
@@ -225,9 +105,9 @@ std::string telemetry_render_prom(
     if (std::find(v.begin(), v.end(), n) == v.end()) v.push_back(n);
   };
   for (const auto& s : latest) {
-    for (const auto& c : s.counters) note(counter_names, c.name);
-    for (const auto& g : s.gauges) note(gauge_names, g.name);
-    for (const auto& h : s.hists) note(hist_names, h.name);
+    for (const auto& c : s.window.counters) note(counter_names, c.name);
+    for (const auto& g : s.window.gauges) note(gauge_names, g.name);
+    for (const auto& h : s.window.histograms) note(hist_names, h.name);
   }
   for (const auto& name : counter_names) {
     const std::string metric = prom_name(name, "_rate");
@@ -235,7 +115,7 @@ std::string telemetry_render_prom(
     for (const auto& s : latest) {
       prom_line(out, metric, s.rank,
                 s.dt_s > 0.0
-                    ? static_cast<double>(s.value(name)) / s.dt_s
+                    ? static_cast<double>(s.window.value(name)) / s.dt_s
                     : 0.0);
     }
   }
@@ -243,7 +123,8 @@ std::string telemetry_render_prom(
     const std::string metric = prom_name(name, "");
     out += "# TYPE " + metric + " gauge\n";
     for (const auto& s : latest) {
-      prom_line(out, metric, s.rank, static_cast<double>(s.value(name)));
+      prom_line(out, metric, s.rank,
+                static_cast<double>(s.window.value(name)));
     }
   }
   for (const auto& name : hist_names) {
@@ -254,7 +135,7 @@ std::string telemetry_render_prom(
     out += "# TYPE " + p50_m + " gauge\n";
     out += "# TYPE " + p99_m + " gauge\n";
     for (const auto& s : latest) {
-      const CounterSnapshot::Histogram* h = s.hist(name);
+      const CounterSnapshot::Histogram* h = s.window.hist(name);
       const double count = h != nullptr ? static_cast<double>(h->count) : 0.0;
       prom_line(out, count_m, s.rank, count);
       prom_line(out, p50_m, s.rank,
@@ -298,7 +179,8 @@ void TelemetrySampler::take_sample(bool final_flush) {
   const double dt = seconds_between(last_, now);
   if (final_flush && dt < 1e-4) return;  // nothing meaningful to report
   CounterSnapshot cur = reg_.snapshot();
-  TelemetrySample s = telemetry_delta(prev_, cur);
+  TelemetrySample s;
+  s.window = snapshot_delta(prev_, cur);
   prev_ = std::move(cur);
   s.rank = rank_;
   s.seq = seq_++;
@@ -443,7 +325,7 @@ bool telemetry_load_snapshot(const std::string& path,
     for (const auto& sv : samples->array) {
       TelemetrySample s;
       std::string err;
-      if (sample_from_value(sv, s, err)) out[rank].push_back(std::move(s));
+      if (decode_sample(sv, s, err)) out[rank].push_back(std::move(s));
     }
   }
   return true;

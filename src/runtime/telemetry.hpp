@@ -15,36 +15,24 @@ namespace amtfmm {
 
 class JsonWriter;
 
-/// One periodic per-rank metrics sample: the counter *deltas* over the
-/// sampling window, current gauge values, and histogram deltas.  Shipping
-/// window deltas (rather than cumulative values) means a sample is useful
-/// on its own — tasks/s is delta/dt, serve p50/p99 come straight from the
-/// window's histogram — and a lost sample degrades to a gap instead of a
-/// permanently skewed rate.
+/// One periodic per-rank metrics sample: the registry's snapshot_delta over
+/// the sampling window — counter and histogram deltas, current gauge
+/// values.  Shipping window deltas (rather than cumulative values) means a
+/// sample is useful on its own — tasks/s is delta/dt, serve p50/p99 come
+/// straight from the window's histogram — and a lost sample degrades to a
+/// gap instead of a permanently skewed rate.
 struct TelemetrySample {
   std::uint32_t rank = 0;
   std::uint64_t seq = 0;  ///< per-rank sample index (gaps = drops)
   double t_s = 0.0;       ///< steady-clock seconds since the sampler started
   double dt_s = 0.0;      ///< window the deltas cover
-  std::vector<CounterSnapshot::Scalar> counters;    ///< window deltas
-  std::vector<CounterSnapshot::Scalar> gauges;      ///< current values
-  std::vector<CounterSnapshot::Histogram> hists;    ///< window deltas
-
-  /// Value of a counter delta / gauge by name; 0 when absent.
-  std::uint64_t value(const std::string& name) const;
-  /// Histogram delta by name; nullptr when absent.
-  const CounterSnapshot::Histogram* hist(const std::string& name) const;
+  CounterSnapshot window;
 };
 
-/// Window delta between two snapshots of the same registry: counters and
-/// histograms subtract (clamped at 0 in case of a clear() between them),
-/// gauges pass through as current values.
-TelemetrySample telemetry_delta(const CounterSnapshot& prev,
-                                const CounterSnapshot& cur);
-
 /// Sample wire format is one JSON object (the same schema the aggregator
-/// snapshot embeds): {"v":1,"rank":..,"seq":..,"t_s":..,"dt_s":..,
-/// "counters":{..},"gauges":{..},"hists":{name:{count,sum,buckets}}}.
+/// snapshot embeds): {"v":2,"rank":..,"seq":..,"t_s":..,"dt_s":..} plus
+/// the window's CounterSnapshot members "counters", "gauges" and
+/// "histograms", written and read by CounterSnapshot's one writer/reader.
 void telemetry_append_json(JsonWriter& w, const TelemetrySample& s);
 std::string telemetry_encode(const TelemetrySample& s);
 bool telemetry_decode(const std::string& text, TelemetrySample& out,

@@ -26,40 +26,6 @@ int instant_of(const std::string& name) {
   return -1;
 }
 
-CounterSnapshot parse_counters(const JsonValue& v) {
-  CounterSnapshot snap;
-  auto scalars = [](const JsonValue* obj,
-                    std::vector<CounterSnapshot::Scalar>& out) {
-    if (obj == nullptr || !obj->is_object()) return;
-    for (const auto& [name, val] : obj->object) {
-      if (val.is_number()) {
-        out.push_back({name, static_cast<std::uint64_t>(val.number)});
-      }
-    }
-  };
-  scalars(v.find("counters"), snap.counters);
-  scalars(v.find("gauges"), snap.gauges);
-  if (const JsonValue* hs = v.find("histograms");
-      hs != nullptr && hs->is_object()) {
-    for (const auto& [name, h] : hs->object) {
-      CounterSnapshot::Histogram out;
-      out.name = name;
-      out.count = static_cast<std::uint64_t>(h.num_or("count", 0.0));
-      out.sum = static_cast<std::uint64_t>(h.num_or("sum", 0.0));
-      if (const JsonValue* b = h.find("buckets");
-          b != nullptr && b->is_array()) {
-        for (std::size_t i = 0; i < b->array.size() && i < out.buckets.size();
-             ++i) {
-          out.buckets[i] =
-              static_cast<std::uint64_t>(b->array[i].number);
-        }
-      }
-      snap.histograms.push_back(std::move(out));
-    }
-  }
-  return snap;
-}
-
 /// Longest path through the DAG with the given per-edge weights (seconds).
 /// Edges are [src, dst] pairs in edge-id order; Kahn topological order plus
 /// a max-plus DP.  Returns {length, edges on the path}.
@@ -173,7 +139,7 @@ TraceReport analyze_trace_file(const std::string& path) {
     }
   }
   if (const JsonValue* ctr = meta->find("counters"); ctr != nullptr) {
-    r.counters = parse_counters(*ctr);
+    r.counters = CounterSnapshot::from_json(*ctr);
   }
 
   const JsonValue* events = root.find("traceEvents");

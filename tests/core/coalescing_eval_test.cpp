@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "core/evaluator.hpp"
+#include "core/pipeline.hpp"
 #include "geom/distributions.hpp"
 
 namespace amtfmm {
@@ -129,14 +130,53 @@ TEST(CoalescingEval, RealModeSurfacesCommStats) {
   EXPECT_GT(r.comm.parcels, 0u);
   EXPECT_GT(r.comm.coalescing_factor(), 1.0);
   EXPECT_EQ(r.comm.bytes, r.wire_bytes);
-  std::uint64_t per_dst = 0;
-  for (const auto v : r.comm.parcels_to) per_dst += v;
-  EXPECT_EQ(per_dst, r.comm.parcels);
+  EXPECT_EQ(r.comm.flush_threshold + r.comm.flush_deadline +
+                r.comm.flush_quiescence,
+            r.comm.batches);
   std::uint64_t wire_records = 0;
   for (const TraceEvent& e : r.trace) {
     wire_records += e.kind == TraceKind::kWire ? 1 : 0;
   }
   EXPECT_EQ(wire_records, r.comm.batches);
+}
+
+// The per-epoch comm window is read from the counter registry: it is
+// counted with metrics off, and with metrics on the registry's flush
+// counter is the same single count the epochs report.
+TEST(CoalescingEval, EpochCommIsTheRegistryWindow) {
+  Rng rng(37);
+  const std::size_t n = 2000;
+  const auto src = generate_points(Distribution::kCube, n, rng);
+  const auto tgt = generate_points(Distribution::kCube, n, rng);
+  const auto q = generate_charges(n, rng);
+  auto kernel = make_kernel("laplace");
+
+  EvalConfig cfg;
+  cfg.threshold = 30;
+  cfg.localities = 2;
+  cfg.cores_per_locality = 2;
+  cfg.coalesce = coalesce_on();
+  cfg.coalesce.flush_deadline = 0.0;  // idle workers flush at once
+  for (const bool counters : {false, true}) {
+    SCOPED_TRACE(counters ? "counters on" : "counters off");
+    cfg.counters = counters;
+    EvalPipeline pipe(*kernel, cfg, src, tgt);
+    std::uint64_t deadline_flushes = 0;
+    for (int epoch = 0; epoch < 3; ++epoch) {
+      const EvalResult r = pipe.evaluate(q);
+      EXPECT_GT(r.comm.parcels, 0u);
+      EXPECT_GT(r.comm.batches, 0u);
+      EXPECT_GT(r.comm.bytes, 0u);
+      EXPECT_EQ(r.comm.bytes, r.wire_bytes);
+      EXPECT_EQ(r.counters.empty(), !counters);
+      deadline_flushes += r.comm.flush_deadline;
+    }
+    if (counters) {
+      EXPECT_EQ(pipe.executor().counters().snapshot().value(
+                    "coalesce.flush_deadline"),
+                deadline_flushes);
+    }
+  }
 }
 
 }  // namespace

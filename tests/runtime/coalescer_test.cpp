@@ -36,6 +36,7 @@ void run_on_worker(ThreadExecutor& ex, Fn body) {
 
 TEST(Coalescing, FlushOnParcelThreshold) {
   ThreadExecutor ex(2, 1, SchedPolicy::kWorkStealing, 1, coalesce_on(4));
+  ex.counters().set_enabled(true);  // the batch-size histogram is gated
   std::atomic<int> ran{0};
   run_on_worker(ex, [&ex, &ran] {
     for (int i = 0; i < 8; ++i) {
@@ -51,10 +52,12 @@ TEST(Coalescing, FlushOnParcelThreshold) {
   EXPECT_EQ(s.flush_threshold, 2u);
   EXPECT_EQ(s.bytes, 800u);
   EXPECT_DOUBLE_EQ(s.coalescing_factor(), 4.0);
-  EXPECT_EQ(s.parcels_to[1], 8u);
-  EXPECT_EQ(s.batches_to[1], 2u);
   // Two batches of 4 parcels: bucket log2(4) == 2.
-  EXPECT_EQ(s.batch_size_log2[2], 2u);
+  const CounterSnapshot snap = ex.counters().snapshot();
+  const auto* sizes = snap.hist("comm.batch_parcels");
+  ASSERT_NE(sizes, nullptr);
+  EXPECT_EQ(sizes->count, 2u);
+  EXPECT_EQ(sizes->buckets[2], 2u);
 }
 
 TEST(Coalescing, FlushOnByteThreshold) {

@@ -5,7 +5,8 @@
 #include <thread>
 
 #include "runtime/gas.hpp"
-#include "runtime/runtime.hpp"
+#include "runtime/sim_executor.hpp"
+#include "runtime/thread_executor.hpp"
 
 namespace amtfmm {
 namespace {
@@ -191,6 +192,7 @@ TEST(Lco, FutureRoundTrip) {
   t.fn = [&f] { f.set(3.25); };
   ex.spawn(std::move(t));
   EXPECT_DOUBLE_EQ(f.get(), 3.25);  // blocks until set
+  ex.drain();  // the setter may still be inside fire(); f must outlive it
 }
 
 TEST(Gas, AllocateAndResolvePerLocality) {
@@ -211,60 +213,44 @@ TEST(Gas, AllocateAndResolvePerLocality) {
   EXPECT_DOUBLE_EQ(static_cast<SumLCO*>(gas.resolve(a))->value(), 7.0);
 }
 
-TEST(RuntimeFacade, ParcelsInvokeActionsAtTheTarget) {
-  RuntimeConfig cfg;
-  cfg.localities = 2;
-  cfg.cores_per_locality = 2;
-  Runtime rt(cfg);
-  // An LCO on locality 1 and an action that feeds it from parcel payload.
-  const GlobalAddress addr =
-      rt.gas().alloc(1, std::make_unique<SumLCO>(rt.executor(), 3));
+// Parcels to a global address: the task resolves the address where it
+// runs, on the locality that owns it.
+TEST(GasParcels, RunAtTheTargetLocality) {
+  ThreadExecutor ex(2, 2);
+  Gas gas(2);
+  const GlobalAddress addr = gas.alloc(1, std::make_unique<SumLCO>(ex, 3));
   std::atomic<int> wrong_locality{0};
-  const std::uint32_t action =
-      rt.register_action([&wrong_locality](Runtime& r, const Parcel& p) {
-        if (current_worker() / r.config().cores_per_locality !=
-            static_cast<int>(p.target.locality)) {
-          wrong_locality.fetch_add(1);
-        }
-        double v;
-        std::memcpy(&v, p.payload.data(), sizeof v);
-        static_cast<SumLCO*>(r.gas().resolve(p.target))->add(v);
-      });
   for (int i = 1; i <= 3; ++i) {
-    Parcel p;
-    p.action = action;
-    p.target = addr;
-    const double v = i;
-    p.payload.resize(sizeof v);
-    std::memcpy(p.payload.data(), &v, sizeof v);
-    rt.send_parcel(/*from=*/0, std::move(p));
+    Task t;
+    t.fn = [&ex, &gas, &wrong_locality, addr, i] {
+      if (ex.current_locality() != static_cast<int>(addr.locality)) {
+        wrong_locality.fetch_add(1);
+      }
+      static_cast<SumLCO*>(gas.resolve(addr))->add(i);
+    };
+    ex.send(/*from=*/0, addr.locality, sizeof(double), std::move(t));
   }
-  rt.drain();
+  ex.drain();
   EXPECT_EQ(wrong_locality.load(), 0);
-  EXPECT_DOUBLE_EQ(static_cast<SumLCO*>(rt.gas().resolve(addr))->value(), 6.0);
-  EXPECT_EQ(rt.executor().comm_stats().parcels, 3u);
+  EXPECT_DOUBLE_EQ(static_cast<SumLCO*>(gas.resolve(addr))->value(), 6.0);
+  EXPECT_EQ(ex.comm_stats().parcels, 3u);
 }
 
-TEST(RuntimeFacade, SimModeParcelsWork) {
-  RuntimeConfig cfg;
-  cfg.localities = 2;
-  cfg.cores_per_locality = 1;
-  cfg.mode = ExecMode::kSim;
-  Runtime rt(cfg);
-  const GlobalAddress addr =
-      rt.gas().alloc(1, std::make_unique<SumLCO>(rt.executor(), 2));
-  const std::uint32_t action = rt.register_action([](Runtime& r, const Parcel& p) {
-    static_cast<SumLCO*>(r.gas().resolve(p.target))->add(1.0);
-  });
+TEST(GasParcels, SimModeParcelsWork) {
+  SimExecutor ex(2, 1, SchedPolicy::kWorkStealing, NetworkModel{});
+  Gas gas(2);
+  const GlobalAddress addr = gas.alloc(1, std::make_unique<SumLCO>(ex, 2));
   for (int i = 0; i < 2; ++i) {
-    Parcel p;
-    p.action = action;
-    p.target = addr;
-    rt.send_parcel(0, std::move(p), {{kClsNetwork, 1e-6}});
+    Task t;
+    t.fn = [&gas, addr] {
+      static_cast<SumLCO*>(gas.resolve(addr))->add(1.0);
+    };
+    t.items = {{kClsNetwork, 1e-6}};
+    ex.send(0, addr.locality, 0, std::move(t));
   }
-  rt.drain();
-  EXPECT_TRUE(rt.gas().resolve(addr)->triggered());
-  EXPECT_GT(rt.executor().now(), 0.0);
+  ex.drain();
+  EXPECT_TRUE(gas.resolve(addr)->triggered());
+  EXPECT_GT(ex.now(), 0.0);
 }
 
 }  // namespace

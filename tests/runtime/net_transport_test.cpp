@@ -66,8 +66,12 @@ WireBatch one_parcel_batch(std::uint32_t src, std::uint32_t dst,
 }
 
 /// Thread-safe recorder for a transport's callbacks, with timed waits so
-/// a broken transport fails the test instead of hanging it.
+/// a broken transport fails the test instead of hanging it, plus the live
+/// registry the transport counts its `net.*` metrics in.
 struct Sink {
+  Sink() { metrics.set_enabled(true); }
+
+  CounterRegistry metrics{1};
   std::mutex mu;
   std::condition_variable cv;
   std::vector<WireBatch> batches;
@@ -95,6 +99,10 @@ struct Sink {
       cv.notify_all();
     };
   }
+  /// Current value of the transport metric `net.<name>`.
+  std::uint64_t net(const std::string& name) const {
+    return metrics.snapshot().value("net." + name);
+  }
   template <typename Pred>
   bool wait_for(Pred pred, std::chrono::seconds timeout = 10s) {
     std::unique_lock<std::mutex> lk(mu);
@@ -115,10 +123,10 @@ class NetTransportPairTest : public ::testing::TestWithParam<TransportKind> {};
 TEST_P(NetTransportPairTest, BatchesAndControlsRoundTripBothWays) {
   TempDir dir;
   Sink s0, s1;
-  NetTransport t0(config_for(0, 2, dir.path, GetParam()), s0.batch_fn(),
-                  s0.control_fn(), s0.fail_fn());
-  NetTransport t1(config_for(1, 2, dir.path, GetParam()), s1.batch_fn(),
-                  s1.control_fn(), s1.fail_fn());
+  NetTransport t0(config_for(0, 2, dir.path, GetParam()), s0.metrics,
+                  s0.batch_fn(), s0.control_fn(), s0.fail_fn());
+  NetTransport t1(config_for(1, 2, dir.path, GetParam()), s1.metrics,
+                  s1.batch_fn(), s1.control_fn(), s1.fail_fn());
   start_pair(t0, t1);
 
   ASSERT_TRUE(t0.post_batch(1, one_parcel_batch(0, 1, 0, "zero to one")));
@@ -148,11 +156,11 @@ TEST_P(NetTransportPairTest, BatchesAndControlsRoundTripBothWays) {
   t1.stop();
   EXPECT_FALSE(t0.failed()) << t0.failure_text();
   EXPECT_FALSE(t1.failed()) << t1.failure_text();
-  EXPECT_GE(t0.stats().msgs_sent.load(), 1u);
-  EXPECT_GE(t0.stats().msgs_recvd.load(), 1u);
-  EXPECT_GT(t0.stats().wire_bytes_sent.load(), 0u);
-  EXPECT_GT(t0.stats().wire_bytes_recvd.load(), 0u);
-  EXPECT_GE(t0.stats().control_msgs.load(), 1u);
+  EXPECT_GE(s0.net("msgs_sent"), 1u);
+  EXPECT_GE(s0.net("msgs_recvd"), 1u);
+  EXPECT_GT(s0.net("wire_bytes_sent"), 0u);
+  EXPECT_GT(s0.net("wire_bytes_recvd"), 0u);
+  EXPECT_GE(s0.net("control_msgs"), 1u);
   {
     std::lock_guard<std::mutex> lk(s0.mu);
     EXPECT_TRUE(s0.failures.empty());
@@ -173,9 +181,10 @@ TEST(NetTransport, BackpressureWindowBoundsInjectedBytesAndDrains) {
   Sink s0, s1;
   auto cfg0 = config_for(0, 2, dir.path, TransportKind::kUnix);
   cfg0.window_bytes = 2048;  // a few frames at most
-  NetTransport t0(cfg0, s0.batch_fn(), s0.control_fn(), s0.fail_fn());
+  NetTransport t0(cfg0, s0.metrics, s0.batch_fn(), s0.control_fn(),
+                  s0.fail_fn());
   NetTransport t1(config_for(1, 2, dir.path, TransportKind::kUnix),
-                  s1.batch_fn(), s1.control_fn(), s1.fail_fn());
+                  s1.metrics, s1.batch_fn(), s1.control_fn(), s1.fail_fn());
   start_pair(t0, t1);
 
   // Far more bytes than the window: the posting thread must block and
@@ -188,12 +197,11 @@ TEST(NetTransport, BackpressureWindowBoundsInjectedBytesAndDrains) {
   ASSERT_TRUE(s1.wait_for(
       [&] { return s1.batches.size() == static_cast<std::size_t>(kBatches); },
       30s));
-  EXPECT_GT(t0.stats().backpressure_stalls.load(), 0u);
+  EXPECT_GT(s0.net("backpressure_stalls"), 0u);
   // The high-water mark respects the window: one frame may be admitted
   // into an empty window regardless of size, so the bound is window plus
   // one frame's worth, not an exact ceiling.
-  EXPECT_LE(t0.stats().inject_bytes_hwm.load(),
-            cfg0.window_bytes + 2048);
+  EXPECT_LE(s0.net("inject_bytes_hwm"), cfg0.window_bytes + 2048);
   t0.stop();
   t1.stop();
   EXPECT_FALSE(t0.failed()) << t0.failure_text();
@@ -203,9 +211,9 @@ TEST(NetTransport, OrderlyPeerStopIsNotAFailure) {
   TempDir dir;
   Sink s0, s1;
   NetTransport t0(config_for(0, 2, dir.path, TransportKind::kUnix),
-                  s0.batch_fn(), s0.control_fn(), s0.fail_fn());
+                  s0.metrics, s0.batch_fn(), s0.control_fn(), s0.fail_fn());
   NetTransport t1(config_for(1, 2, dir.path, TransportKind::kUnix),
-                  s1.batch_fn(), s1.control_fn(), s1.fail_fn());
+                  s1.metrics, s1.batch_fn(), s1.control_fn(), s1.fail_fn());
   start_pair(t0, t1);
 
   // Rank 1 stops while rank 0 is still live and has NOT called
@@ -229,7 +237,7 @@ TEST(NetTransport, PeerDeathFailsFastInsteadOfHanging) {
 
   Sink s1;
   NetTransport t1(config_for(1, 2, dir.path, TransportKind::kUnix),
-                  s1.batch_fn(), s1.control_fn(), s1.fail_fn());
+                  s1.metrics, s1.batch_fn(), s1.control_fn(), s1.fail_fn());
   std::thread starter([&] { t1.start(); });
 
   Fd conn;
@@ -271,7 +279,7 @@ TEST(NetTransport, WorldOfOneNeedsNoMesh) {
   TempDir dir;
   Sink s;
   NetTransport t(config_for(0, 1, dir.path, TransportKind::kUnix),
-                 s.batch_fn(), s.control_fn(), s.fail_fn());
+                 s.metrics, s.batch_fn(), s.control_fn(), s.fail_fn());
   t.start();  // no peers: nothing to bootstrap, no progress thread
   t.stop();
   EXPECT_FALSE(t.failed());

@@ -37,13 +37,18 @@ TEST(TelemetryDelta, CountersSubtractGaugesPassThrough) {
   reg.observe(0, h, 300);
   const CounterSnapshot cur = reg.snapshot();
 
-  const TelemetrySample s = telemetry_delta(prev, cur);
+  const CounterSnapshot s = snapshot_delta(prev, cur);
   EXPECT_EQ(s.value("sched.tasks_run"), 5u);   // window delta
   EXPECT_EQ(s.value("gas.objects_hw"), 9u);    // current value
   const auto* hd = s.hist("serve.epoch_us");
   ASSERT_NE(hd, nullptr);
   EXPECT_EQ(hd->count, 2u);                    // window observations only
   EXPECT_EQ(hd->sum, 500u);
+
+  // A metric registered after the window opened counts from zero.
+  const auto late = reg.counter("serve.epochs");
+  reg.add(0, late, 3);
+  EXPECT_EQ(snapshot_delta(cur, reg.snapshot()).value("serve.epochs"), 3u);
 }
 
 TEST(TelemetryWire, EncodeDecodeRoundTrip) {
@@ -52,14 +57,16 @@ TEST(TelemetryWire, EncodeDecodeRoundTrip) {
   s.seq = 41;
   s.t_s = 1.5;
   s.dt_s = 0.25;
-  s.counters.push_back({"sched.tasks_run", 1234});
-  s.gauges.push_back({"gas.objects_hw", 99});
+  // Names in sorted order: the reader returns each group sorted by name.
+  s.window.counters = {{"comm.parcels", 0}, {"sched.tasks_run", 1234}};
+  s.window.gauges.push_back({"gas.objects_hw", 99});
   CounterSnapshot::Histogram h;
   h.name = "serve.epoch_us";
-  h.count = 2;
-  h.sum = 300;
+  h.count = 3;
+  h.sum = 400;
+  h.buckets[0] = 1;
   h.buckets[7] = 2;
-  s.hists.push_back(h);
+  s.window.histograms.push_back(h);
 
   TelemetrySample out;
   std::string err;
@@ -68,29 +75,29 @@ TEST(TelemetryWire, EncodeDecodeRoundTrip) {
   EXPECT_EQ(out.seq, 41u);
   EXPECT_NEAR(out.t_s, 1.5, 1e-12);
   EXPECT_NEAR(out.dt_s, 0.25, 1e-12);
-  EXPECT_EQ(out.value("sched.tasks_run"), 1234u);
-  EXPECT_EQ(out.value("gas.objects_hw"), 99u);
-  const auto* hd = out.hist("serve.epoch_us");
+  // Writer -> reader -> writer reproduces the sample byte for byte.
+  EXPECT_EQ(telemetry_encode(out), telemetry_encode(s));
+  EXPECT_EQ(out.window.value("sched.tasks_run"), 1234u);
+  const auto* hd = out.window.hist("serve.epoch_us");
   ASSERT_NE(hd, nullptr);
-  EXPECT_EQ(hd->count, 2u);
-  EXPECT_EQ(hd->sum, 300u);
   EXPECT_EQ(hd->buckets[7], 2u);
 
   EXPECT_FALSE(telemetry_decode("not json", out, err));
   EXPECT_FALSE(telemetry_decode("{\"v\":99}", out, err));  // future version
+  EXPECT_FALSE(telemetry_decode("{\"v\":1}", out, err));  // "hists" format
 }
 
 TEST(TelemetryProm, ExpositionGrammarAndNames) {
   TelemetrySample s;
   s.rank = 1;
   s.dt_s = 0.5;
-  s.counters.push_back({"sched.tasks_run", 100});  // 200/s
-  s.gauges.push_back({"gas.objects_hw", 64});
+  s.window.counters.push_back({"sched.tasks_run", 100});  // 200/s
+  s.window.gauges.push_back({"gas.objects_hw", 64});
   CounterSnapshot::Histogram h;
   h.name = "serve.epoch_us";
   h.count = 4;
   h.buckets[10] = 4;  // all in [1024, 2048)
-  s.hists.push_back(h);
+  s.window.histograms.push_back(h);
 
   const std::string text = telemetry_render_prom({s});
   EXPECT_NE(text.find("# TYPE amtfmm_sched_tasks_run_rate gauge"),
@@ -146,7 +153,7 @@ TEST(TelemetryPipeline, SamplerToAggregatorToSnapshotFile) {
   for (const TelemetrySample& s : series[0]) {
     EXPECT_EQ(s.seq, expect_seq++);
     EXPECT_GT(s.dt_s, 0.0);
-    total += s.value("sched.tasks_run");
+    total += s.window.value("sched.tasks_run");
   }
   EXPECT_EQ(total, 1000u);
 }

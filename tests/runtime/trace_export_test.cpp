@@ -44,7 +44,7 @@ bool is_wire(TraceKind k) { return k == TraceKind::kWire; }
 TEST(TraceExport, HandcraftedRoundTrip) {
   // Two localities of one core each: a 1 ms span attributed to edge 0 on
   // worker 0, an unattributed span on worker 1, one steal instant, and one
-  // wire message 0 -> 1.
+  // wire message 0 -> 1, plus a counter snapshot echoed in the metadata.
   const std::vector<TraceEvent> stream{
       {0.0, 1e-3, 0, 1, TraceKind::kSpan, 0},
       {1e-3, 2e-3, 1, 5, TraceKind::kSpan, kNoTraceArg},
@@ -52,12 +52,24 @@ TEST(TraceExport, HandcraftedRoundTrip) {
       TraceEvent::wire(0.2e-3, 0.8e-3, 0, 1, 3, 123),
   };
   const std::vector<std::uint32_t> edges{0, 1};
+  // Names in sorted order: the reader returns each group sorted by name.
+  CounterSnapshot counters;
+  counters.counters = {{"comm.bytes", 123}, {"comm.parcels", 3},
+                       {"sched.tasks_run", 2}};
+  counters.gauges = {{"gas.objects_hw", 0}, {"sched.deque_depth_hw", 4}};
+  CounterSnapshot::Histogram h;
+  h.name = "comm.batch_parcels";
+  h.count = 1;
+  h.sum = 3;
+  h.buckets[1] = 1;
+  counters.histograms = {h};
 
   ChromeTraceOptions opt;
   opt.cores_per_locality = 1;
   opt.makespan = 2e-3;
   opt.sim = true;
   opt.dag_edges = edges;
+  opt.counters = &counters;
   const std::string path = tmp_path("handcrafted_trace.json");
   ASSERT_TRUE(trace_export_chrome(path, stream, opt));
 
@@ -116,6 +128,11 @@ TEST(TraceExport, HandcraftedRoundTrip) {
   EXPECT_EQ(r.critical_path_edges, 1u);
   EXPECT_NEAR(r.critical_path_seconds, 1e-3, 1e-9);
   EXPECT_EQ(r.instant_counts[static_cast<int>(TraceKind::kSteal)], 1u);
+  // The report's snapshot, written again, is the one the trace embedded.
+  JsonWriter want, got;
+  counters.append_json(want);
+  r.counters.append_json(got);
+  EXPECT_EQ(got.str(), want.str());
 }
 
 TEST(TraceExport, MultiEpochCriticalPathIsPerEpoch) {

@@ -37,7 +37,7 @@ std::vector<TelemetrySample> latest_per_rank(
 
 double rate(const TelemetrySample& s, const char* name) {
   return s.dt_s > 0.0
-             ? static_cast<double>(s.value(name)) / s.dt_s
+             ? static_cast<double>(s.window.value(name)) / s.dt_s
              : 0.0;
 }
 
@@ -49,14 +49,15 @@ void render_table(const std::vector<std::vector<TelemetrySample>>& series) {
     if (s.empty()) continue;
     const TelemetrySample& cur = s.back();
     double p50 = 0.0, p99 = 0.0;
-    if (const auto* h = cur.hist("serve.epoch_us")) {
+    if (const auto* h = cur.window.hist("serve.epoch_us")) {
       p50 = histogram_quantile(*h, 0.50);
       p99 = histogram_quantile(*h, 0.99);
     }
     std::printf("%-5u %9.0f %9.0f %9.2f %9llu %10.0f %10.0f %9llu\n",
                 cur.rank, rate(cur, "sched.tasks_run"),
                 rate(cur, "sched.steal_success"), rate(cur, "serve.epochs"),
-                static_cast<unsigned long long>(cur.value("gas.objects_hw")),
+                static_cast<unsigned long long>(
+                    cur.window.value("gas.objects_hw")),
                 p50, p99,
                 static_cast<unsigned long long>(cur.seq + 1));
   }
