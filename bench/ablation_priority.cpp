@@ -39,13 +39,11 @@ int main(int argc, char** argv) {
     sim.cost = CostModel::paper("laplace");
 
     sim.policy = SchedPolicy::kWorkStealing;
-    sim.split_priority = false;
     const double t_ws = eval.simulate(e.sources, e.targets, sim).virtual_time;
 
-    sim.split_priority = true;  // engine splits tasks; scheduler honours them
+    sim.policy = SchedPolicy::kPriority;  // engine splits, scheduler honours
     const double t_prio = eval.simulate(e.sources, e.targets, sim).virtual_time;
 
-    sim.split_priority = false;
     sim.policy = SchedPolicy::kFifo;
     const double t_fifo = eval.simulate(e.sources, e.targets, sim).virtual_time;
 

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   if (cli.str("policy") == "fifo") {
     sim.policy = SchedPolicy::kFifo;
   } else if (cli.str("policy") == "priority") {
-    sim.split_priority = true;
+    sim.policy = SchedPolicy::kPriority;
   }
   if (cli.str("cost-profile") == "host") {
     auto probe = make_kernel(cli.str("kernel"), 2.0);

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full local gate, mirroring .github/workflows/ci.yml:
 #   1. invariant lint self-test, then the lint itself (threading /
-#      memory-order / payload / seed rules),
+#      memory-order / payload / seed rules), and the benchmark driver's
+#      self-test,
 #   2. Release build + complete test suite, the runtime/pipeline tests
 #      re-run pinned to one CPU (taskset -c 0) and three times in random
 #      order (with the net/serve tests), plus the kernel/operator tests
@@ -19,9 +20,12 @@
 #   9. benchmark smoke run with JSON output, including the per-ISA SIMD
 #      kernel sweep gated by scripts/check_bench_kernels.py and the socket
 #      transport sweep gated by scripts/check_bench_transport.py,
-#  10. multi-process loopback: amtfmm_launch forks real socket localities
-#      (unix + tcp, 2 and 4 processes) and amtfmm_loopback asserts
-#      multi-process == in-process == sim potentials at 1e-12.
+#  10. multi-process parity: amtfmm_launch forks real socket localities
+#      (unix + tcp, 2 and 4 processes, both coalescing modes) and
+#      amtfmm_serve asserts multi-process == in-process potentials at
+#      1e-12 and exact wire-byte parity with the in-process and sim runs,
+#      then the resident steady-state bounds (re-arm ratio, throughput,
+#      latency tail) in process and on a 2-process world.
 #
 # Usage: scripts/check.sh [jobs]
 set -euo pipefail
@@ -29,9 +33,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
 
-echo "== Invariant lint (self-test, then tree) =="
+echo "== Invariant lint (self-test, then tree), benchmark self-test =="
 python3 scripts/test_lint_invariants.py
 python3 scripts/lint_invariants.py
+python3 fmmbench/test_run.py
 
 echo "== Release build + full test suite =="
 cmake -B build -S . >/dev/null
@@ -144,24 +149,21 @@ echo "== Socket transport sweep (BENCH_transport.json) =="
 python3 scripts/check_bench_transport.py \
   build/bench-smoke/BENCH_transport.json
 
-echo "== Multi-process loopback (real socket localities) =="
+echo "== Multi-process parity (real socket localities) =="
 for np in 2 4; do
   for transport in unix tcp; do
-    ./build/tools/amtfmm_launch --np="$np" --transport="$transport" \
-      --timeout=120 -- ./build/tools/amtfmm_loopback --n=3000 --cores=2
+    for coalesce in true false; do
+      ./build/tools/amtfmm_launch --np="$np" --transport="$transport" \
+        --timeout=120 -- ./build/tools/amtfmm_serve --n=3000 --cores=2 \
+        --coalesce="$coalesce"
+    done
   done
 done
 
-echo "== Resident pipeline steady state (BENCH_serve.json) =="
-./build/tools/amtfmm_serve --n=4000 --epochs=6 --localities=2 --cores=2 \
-  --json=build/bench-smoke/BENCH_serve_inproc.json
+echo "== Resident pipeline steady state (self-gated) =="
+./build/tools/amtfmm_serve --n=4000 --epochs=6 --localities=2 --cores=2
 ./build/tools/amtfmm_launch --np=2 --transport=unix --timeout=120 \
-  -- ./build/tools/amtfmm_serve --n=4000 --epochs=6 --cores=2 \
-  --json=build/bench-smoke/BENCH_serve_net.json
-python3 scripts/check_bench_serve.py \
-  build/bench-smoke/BENCH_serve_inproc.json \
-  build/bench-smoke/BENCH_serve_net.json \
-  --out build/bench-smoke/BENCH_serve.json
+  -- ./build/tools/amtfmm_serve --n=4000 --epochs=6 --cores=2
 
 echo "== Telemetry channel, trace merge, watchdog dump =="
 python3 scripts/check_telemetry.py --build-dir build

@@ -1,21 +1,20 @@
 #!/usr/bin/env python3
 """End-to-end gate for the live telemetry channel and post-mortem path.
 
-Drives real binaries (no mocks) through four scenarios:
+Drives real binaries (no mocks) through three scenarios:
 
   1. live metrics, 2-process world: amtfmm_launch runs a 2-rank
      amtfmm_serve with --telemetry; the rank-0 aggregator's snapshot must
      hold samples from EVERY rank, and `amtfmm_top --once --prom` scraped
      from it must satisfy the Prometheus text-exposition grammar and
      expose the expected metric families;
-  2. cross-rank trace merge: a 2-process amtfmm_loopback writes per-rank
-     traces; `trace_report --merge` must exit 0 with no negative
-     cross-rank flows and sub-millisecond clock uncertainty;
+  2. cross-rank trace merge: a 2-process amtfmm_serve writes per-rank
+     traces of its resident epochs; `trace_report --merge` must exit 0
+     with no negative cross-rank flows and sub-millisecond clock
+     uncertainty;
   3. forced watchdog dump: amtfmm_serve with an injected stall and a
      shorter watchdog timeout must leave a loadable flight dump whose
-     reason names the watchdog;
-  4. (in-process) telemetry-on bench parity is gated separately by
-     check_bench_serve.py; this script only asserts the channel works.
+     reason names the watchdog.
 
 Usage: scripts/check_telemetry.py [--build-dir build] [--n 2000]
 """
@@ -106,11 +105,11 @@ def check_trace_merge(tools, args, violations):
         r = run([
             tools / "amtfmm_launch", "--np=2", "--transport=unix",
             "--timeout=300", "--",
-            tools / "amtfmm_loopback", f"--n={args.n}", "--cores=2",
-            f"--trace-out={d / 'trace'}",
+            tools / "amtfmm_serve", f"--n={args.n}", "--epochs=2",
+            "--cores=2", f"--trace-out={d / 'trace'}",
         ])
         if r.returncode != 0:
-            violations.append(f"2-process traced loopback exited {r.returncode}")
+            violations.append(f"2-process traced serve exited {r.returncode}")
             return
         r = run([
             tools / "trace_report", f"--merge={d / 'merged.json'}",

@@ -252,7 +252,7 @@ void DagEngine::spawn_edge_tasks(NodeIndex ni) {
     }
     const std::uint32_t tloc = dag_.nodes[edge.target].locality;
     if (tloc == n.locality) {
-      (opt_.split_priority && is_high(edge.op) ? local_high : local_low)
+      (opt_.high_priority_upward && is_high(edge.op) ? local_high : local_low)
           .push_back(e);
     } else if (source_computed(edge.op)) {
       contrib.push_back(e);
@@ -304,7 +304,7 @@ void DagEngine::spawn_edge_tasks(NodeIndex ni) {
   for (auto& [loc, ids] : remote) {
     PendingParcel p;
     p.loc = loc;
-    p.high = opt_.split_priority && is_high(dag_.edges[ids.front()].op);
+    p.high = opt_.high_priority_upward && is_high(dag_.edges[ids.front()].op);
     if (compute) {
       p.buf = std::make_shared<std::vector<std::byte>>(
           serialize_parcel(ni, ids));

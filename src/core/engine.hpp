@@ -23,7 +23,8 @@ enum class EngineMode {
 struct EngineOptions {
   EngineMode mode = EngineMode::kCompute;
   CostModel cost;        ///< used in kCostOnly mode
-  bool split_priority = false;  ///< separate high-priority upward-pass tasks
+  /// Upward-pass tasks run high priority (set under SchedPolicy::kPriority).
+  bool high_priority_upward = false;
 };
 
 /// Executes the explicit DAG as an implicit network of GAS-resident

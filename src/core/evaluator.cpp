@@ -1,8 +1,6 @@
 #include "core/evaluator.hpp"
 
 #include "core/pipeline.hpp"
-#include "runtime/locality_runtime.hpp"
-#include "runtime/net/net_executor.hpp"
 #include "support/error.hpp"
 #include "support/timer.hpp"
 
@@ -27,18 +25,6 @@ EvalResult Evaluator::evaluate(std::span<const Vec3> sources,
   return pipeline.evaluate(charges);
 }
 
-EvalResult Evaluator::evaluate_distributed(net::NetExecutor& ex,
-                                           std::span<const Vec3> sources,
-                                           std::span<const double> charges,
-                                           std::span<const Vec3> targets) {
-  AMTFMM_ASSERT(sources.size() == charges.size());
-  // One epoch on a borrowed mesh.  The pipeline's baseline snapshots make
-  // the per-rank transport identity hold even when the same connections
-  // already carried a previous evaluation.
-  EvalPipeline pipeline(*kernel_, cfg_, sources, targets, ex);
-  return pipeline.evaluate(charges);
-}
-
 SimResult Evaluator::simulate(std::span<const Vec3> sources,
                               std::span<const Vec3> targets,
                               const SimConfig& sim) {
@@ -48,15 +34,14 @@ SimResult Evaluator::simulate(std::span<const Vec3> sources,
   out.dag = p.dag.stats();
   out.total_cores = sim.localities * sim.cores_per_locality;
 
-  SimExecutor ex(sim.localities, sim.cores_per_locality,
-                 sim.split_priority ? SchedPolicy::kPriority : sim.policy,
+  SimExecutor ex(sim.localities, sim.cores_per_locality, sim.policy,
                  sim.network, sim.seed, sim.coalesce);
   ex.trace().set_enabled(sim.trace);
   ex.counters().set_enabled(sim.counters);
   EngineOptions opt;
   opt.mode = EngineMode::kCostOnly;
   opt.cost = sim.cost;
-  opt.split_priority = sim.split_priority;
+  opt.high_priority_upward = sim.policy == SchedPolicy::kPriority;
   DagEngine engine(p.dag, p.tree, *kernel_, ex, opt);
   out.virtual_time = engine.execute({}, {});
   out.wire_bytes = engine.wire_bytes();

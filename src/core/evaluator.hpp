@@ -8,10 +8,6 @@
 
 namespace amtfmm {
 
-namespace net {
-class NetExecutor;
-}
-
 /// User-facing configuration.  Everything here is a plain parameter — the
 /// DASHMM design point the paper emphasizes: the method, kernel, accuracy
 /// and data distribution vary freely while the parallelization underneath
@@ -24,8 +20,8 @@ struct EvalConfig {
   Placement placement = Placement::kCommMin;
   int localities = 1;
   int cores_per_locality = 2;
+  /// kPriority also splits the upward pass into high-priority tasks.
   SchedPolicy policy = SchedPolicy::kWorkStealing;
-  bool split_priority = false;  ///< binary priority for the upward pass
   CoalesceConfig coalesce{};  ///< per-locality parcel coalescing
   bool trace = false;
   bool counters = false;  ///< runtime counter registry (see counters.hpp)
@@ -55,8 +51,7 @@ struct EvalResult {
 struct SimConfig {
   int localities = 1;
   int cores_per_locality = 32;  ///< Big Red II: 32 cores per node
-  SchedPolicy policy = SchedPolicy::kWorkStealing;
-  bool split_priority = false;
+  SchedPolicy policy = SchedPolicy::kWorkStealing;  ///< see EvalConfig
   NetworkModel network{};
   CoalesceConfig coalesce{};  ///< per-locality parcel coalescing
   CostModel cost;  ///< fill via CostModel::paper() or ::measured()
@@ -103,22 +98,6 @@ class Evaluator {
 
   SimResult simulate(std::span<const Vec3> sources,
                      std::span<const Vec3> targets, const SimConfig& sim);
-
-  /// One SPMD rank of a distributed evaluation over socket localities:
-  /// every rank calls this with the IDENTICAL inputs and configuration
-  /// (the tree/lists/DAG are deterministic, so all processes agree on
-  /// placement without communicating), using `ex.num_localities()` as the
-  /// locality count.  The returned potentials are this rank's PARTIAL
-  /// result — entries for target boxes homed on other ranks are zero, so
-  /// the global answer is the element-wise sum across ranks (each target
-  /// has exactly one home).  wire_bytes/comm likewise cover only this
-  /// rank's sends, and wire_bytes == comm.bytes stays asserted per rank.
-  /// EvalConfig::localities/cores_per_locality are ignored in favor of the
-  /// executor's world and pool.
-  EvalResult evaluate_distributed(net::NetExecutor& ex,
-                                  std::span<const Vec3> sources,
-                                  std::span<const double> charges,
-                                  std::span<const Vec3> targets);
 
   const Kernel& kernel() const { return *kernel_; }
   const EvalConfig& config() const { return cfg_; }

@@ -36,8 +36,7 @@ EvalPipeline::EvalPipeline(Kernel& kernel, const EvalConfig& cfg,
       tgt_pts_(targets.begin(), targets.end()) {
   owned_ex_ = std::make_unique<ThreadExecutor>(
       cfg_.localities, cfg_.cores_per_locality,
-      cfg_.split_priority ? SchedPolicy::kPriority : cfg_.policy, cfg_.seed,
-      cfg_.coalesce);
+      cfg_.policy, cfg_.seed, cfg_.coalesce);
   ex_ = owned_ex_.get();
   ex_->trace().set_enabled(cfg_.trace);
   ex_->counters().set_enabled(cfg_.counters);
@@ -70,7 +69,7 @@ void EvalPipeline::build(std::span<const Vec3> sources,
   setup_seconds_ = setup.seconds();
   EngineOptions opt;
   opt.mode = EngineMode::kCompute;
-  opt.split_priority = cfg_.split_priority;
+  opt.high_priority_upward = cfg_.policy == SchedPolicy::kPriority;
   engine_ = std::make_unique<DagEngine>(model_.dag, model_.tree, kernel_,
                                         *ex_, opt);
 }

@@ -82,8 +82,9 @@ class EvalPipeline {
   EvalPipeline(Kernel& kernel, const EvalConfig& cfg,
                std::span<const Vec3> sources, std::span<const Vec3> targets);
   /// Resident multi-process pipeline over a borrowed socket executor (one
-  /// SPMD rank).  Potentials are this rank's partial result, exactly as in
-  /// Evaluator::evaluate_distributed.
+  /// SPMD rank; the executor's world replaces cfg.localities).  Potentials
+  /// are this rank's partial result: targets homed on other ranks read
+  /// zero, so the global answer is the element-wise sum across ranks.
   EvalPipeline(Kernel& kernel, const EvalConfig& cfg,
                std::span<const Vec3> sources, std::span<const Vec3> targets,
                net::NetExecutor& ex);

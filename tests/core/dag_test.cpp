@@ -137,7 +137,7 @@ TEST_P(CountingEndToEnd, EveryTargetCountsEverySource) {
   cfg.threshold = c.threshold;
   cfg.localities = c.localities;
   cfg.cores_per_locality = c.cores;
-  cfg.split_priority = c.priority;
+  if (c.priority) cfg.policy = SchedPolicy::kPriority;
   Evaluator eval(make_kernel("counting"), cfg);
   const EvalResult r = eval.evaluate(src, q, tgt);
   ASSERT_EQ(r.potentials.size(), nt);

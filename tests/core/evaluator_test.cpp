@@ -105,7 +105,7 @@ TEST(Evaluator, PriorityModeIsNumericallyIdentical) {
   cfg.localities = 2;
   cfg.cores_per_locality = 2;
   Evaluator plain(make_kernel("laplace"), cfg);
-  cfg.split_priority = true;
+  cfg.policy = SchedPolicy::kPriority;
   Evaluator prio(make_kernel("laplace"), cfg);
   const auto a = plain.evaluate(src, q, tgt);
   const auto b = prio.evaluate(src, q, tgt);

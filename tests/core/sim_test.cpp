@@ -97,9 +97,8 @@ TEST(SimPriority, PriorityNeverHurtsAtHighCoreCounts) {
   SimConfig sim;
   sim.localities = 16;  // 512 cores: the starved regime
   sim.cost = CostModel::paper("laplace");
-  sim.split_priority = false;
   const double plain = eval.simulate(src, tgt, sim).virtual_time;
-  sim.split_priority = true;
+  sim.policy = SchedPolicy::kPriority;
   const double prio = eval.simulate(src, tgt, sim).virtual_time;
   EXPECT_LE(prio, plain * 1.05)
       << "priorities must not significantly hurt the makespan";
