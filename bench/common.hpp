@@ -1,16 +1,15 @@
 #pragma once
 
+#include <cstdarg>
 #include <cstdio>
 #include <string>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "core/evaluator.hpp"
 #include "geom/distributions.hpp"
 #include "runtime/trace_export.hpp"
 #include "support/cli.hpp"
-#include "support/json.hpp"
 
 namespace amtfmm::bench {
 
@@ -45,41 +44,22 @@ inline std::string byte_range(std::uint64_t lo, std::uint64_t hi) {
   return std::to_string(lo) + "-" + std::to_string(hi);
 }
 
-/// One row of a micro-benchmark `--json` summary.
-struct BenchEntry {
-  std::string name;
-  double ns_per_op = 0.0;
-  std::vector<std::pair<std::string, double>> counters;
-};
+/// Collects the hard failures of a self-checking bench mode: each prints
+/// one "<tag> FAIL: ..." line, and the mode exits 1 when any fired.
+struct Gate {
+  const char* tag;
+  bool ok = true;
 
-/// Writes entries as a JSON array of flat {name, ns_per_op, counters...}
-/// objects — the single writer behind every bench `--json` output, so the
-/// schema (escaping, number formatting) is identical everywhere.
-inline bool write_bench_json(const std::string& path,
-                             const std::vector<BenchEntry>& entries) {
-  JsonWriter w;
-  w.begin_array();
-  for (const auto& e : entries) {
-    w.begin_object();
-    w.kv("name", e.name);
-    w.kv("ns_per_op", e.ns_per_op);
-    for (const auto& [k, v] : e.counters) w.kv(k, v);
-    w.end_object();
+  [[gnu::format(printf, 2, 3)]] void fail(const char* fmt, ...) {
+    std::va_list ap;
+    va_start(ap, fmt);
+    std::fprintf(stderr, "%s FAIL: ", tag);
+    std::vfprintf(stderr, fmt, ap);
+    std::fputc('\n', stderr);
+    va_end(ap);
+    ok = false;
   }
-  w.end_array();
-  return w.write_file(path);
-}
-
-/// Serializes comm statistics under the given key — shared by the fig
-/// benches' `--json` outputs.
-inline void append_comm_json(JsonWriter& w, const CommStats& c) {
-  w.begin_object();
-  w.kv("parcels", static_cast<std::uint64_t>(c.parcels));
-  w.kv("batches", static_cast<std::uint64_t>(c.batches));
-  w.kv("bytes", static_cast<std::uint64_t>(c.bytes));
-  w.kv("coalescing_factor", c.coalescing_factor());
-  w.end_object();
-}
+};
 
 /// Registers the shared `--trace-out=FILE` flag.
 inline void add_trace_out_flag(Cli& cli) {

@@ -15,8 +15,6 @@ int main(int argc, char** argv) {
                "points per ensemble (paper: 30M)");
   cli.add_flag("threshold", static_cast<std::int64_t>(60), "refinement threshold");
   cli.add_flag("intervals", static_cast<std::int64_t>(100), "time intervals M");
-  cli.add_flag("json", std::string(),
-               "write a machine-readable summary (incl. counters) to FILE");
   add_trace_out_flag(cli);
   cli.parse(argc, argv);
 
@@ -32,7 +30,6 @@ int main(int argc, char** argv) {
   std::vector<UtilizationProfile> profiles;
   std::vector<double> times;
   std::vector<CommStats> comms;
-  std::vector<CounterSnapshot> snaps;
   SimResult largest;  // 512-core run kept for the --trace-out export
   for (const int cores : core_counts) {
     SimConfig sim;
@@ -47,7 +44,6 @@ int main(int argc, char** argv) {
                                    r.total_cores));
     times.push_back(r.virtual_time);
     comms.push_back(r.comm);
-    snaps.push_back(r.counters);
     if (cores == core_counts[2]) largest = std::move(r);
   }
 
@@ -121,38 +117,5 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(comms[2].batches));
   }
 
-  if (!export_trace_if_requested(cli, largest, 32)) return 1;
-
-  if (!cli.str("json").empty()) {
-    JsonWriter w;
-    w.begin_object();
-    w.kv("bench", "fig4_utilization");
-    w.kv("n", static_cast<std::uint64_t>(n));
-    w.kv("threshold", cli.i64("threshold"));
-    w.kv("intervals", intervals);
-    w.key("runs");
-    w.begin_array();
-    for (std::size_t i = 0; i < profiles.size(); ++i) {
-      w.begin_object();
-      w.kv("cores", core_counts[i]);
-      w.kv("virtual_time", times[i]);
-      w.key("utilization");
-      w.begin_array();
-      for (double f : profiles[i].total) w.value(f);
-      w.end_array();
-      w.key("comm");
-      append_comm_json(w, comms[i]);
-      w.key("counters");
-      snaps[i].append_json(w);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    if (!w.write_file(cli.str("json"))) {
-      std::fprintf(stderr, "cannot write %s\n", cli.str("json").c_str());
-      return 1;
-    }
-    std::printf("summary written to %s\n", cli.str("json").c_str());
-  }
-  return 0;
+  return export_trace_if_requested(cli, largest, 32) ? 0 : 1;
 }

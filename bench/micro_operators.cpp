@@ -192,10 +192,10 @@ REGISTER(I2I);
 REGISTER(I2L);
 
 // ---------------------------------------------------------------------------
-// Per-ISA sweep of the SIMD batch kernels (--kernels-json): times each op
-// under every runner-supported ISA, records ns/interaction, speedup over the
-// scalar reference, and a result checksum (the cross-ISA parity gate for
-// scripts/check_bench_kernels.py).
+// Per-ISA sweep of the SIMD batch kernels (--kernel-sweep): times each op
+// under every host-supported ISA, prints ns/interaction and the speedup over
+// the scalar reference, and checks each ISA's result checksum against
+// scalar's and against the one taken under the startup ISA.
 
 /// Best-of-three ns per call, each sample auto-scaled to >= ~20 ms.
 template <typename F>
@@ -286,7 +286,12 @@ struct SweepOp {
   std::function<double()> run;
 };
 
-int run_kernel_sweep(const std::string& path, bool forced) {
+bool rel_close(double a, double b) {
+  return std::abs(a - b) <=
+         1e-12 * std::max({1.0, std::abs(a), std::abs(b)});
+}
+
+int run_kernel_sweep() {
   constexpr std::size_t kNt = 256, kNs = 256;
   static SweepBatch sb(kNt, kNs);
   const double p2p_inter = static_cast<double>(kNt * kNs);
@@ -328,114 +333,81 @@ int run_kernel_sweep(const std::string& path, bool forced) {
       {"M2L_yukawa", 1.0, m2l("yukawa")},
   };
 
-  // When an ISA was forced via --isa (or AMTFMM_FORCE_ISA), sweep only that
-  // variant — the CI forced-scalar leg diffs such a file against the scalar
-  // rows of a full sweep.  Otherwise sweep everything the host supports
-  // (scalar always comes first, providing the speedup baseline).
+  // The startup ISA comes from AMTFMM_FORCE_ISA (scalar when the host lacks
+  // the forced one) or else is the best the host supports.  Its checksums,
+  // taken before any set_active_isa call, must reappear in its swept row:
+  // the env override and the runtime dispatcher execute the same code.
+  bench::Gate gate{"KERNEL SWEEP"};
   const simd::Isa entry = simd::active_isa();
-  std::vector<simd::Isa> isas = simd::supported_isas();
-  if (forced) isas = {entry};
+  if (const char* env = std::getenv("AMTFMM_FORCE_ISA")) {
+    simd::Isa forced{};
+    if (simd::parse_isa(env, forced)) {
+      const simd::Isa want =
+          simd::isa_supported(forced) ? forced : simd::Isa::kScalar;
+      if (entry != want) {
+        gate.fail("AMTFMM_FORCE_ISA=%s started on %s, want %s", env,
+                  simd::to_string(entry), simd::to_string(want));
+      }
+    }
+  }
+  std::vector<double> entry_sums;
+  for (const SweepOp& op : ops) entry_sums.push_back(op.run());
 
-  std::vector<bench::BenchEntry> entries;
-  std::printf("%-22s %-8s %14s %10s\n", "op", "isa", "ns/interaction",
-              "speedup");
-  for (const SweepOp& op : ops) {
-    double scalar_ns = 0.0;
-    for (const simd::Isa isa : isas) {
-      if (!simd::set_active_isa(isa)) continue;
+  // Scalar comes first in supported_isas(): the speedup and checksum
+  // baseline.  M2L rows are exempt from the speedup floor (the rotation
+  // inner loops are short; their win is modest by design).
+  std::printf("%-22s %-8s %14s %10s %24s\n", "op", "isa", "ns/interaction",
+              "speedup", "checksum");
+  for (std::size_t k = 0; k < std::size(ops); ++k) {
+    const SweepOp& op = ops[k];
+    double scalar_ns = 0.0, scalar_sum = 0.0;
+    for (const simd::Isa isa : simd::supported_isas()) {
+      simd::set_active_isa(isa);
+      const char* name = simd::to_string(isa);
       const double checksum = op.run();
       const double ns = best_ns_per_call(op.run) / op.interactions;
-      if (isa == simd::Isa::kScalar) scalar_ns = ns;
-      const double speedup = scalar_ns > 0.0 ? scalar_ns / ns : 0.0;
-      std::printf("%-22s %-8s %14.3f %9.2fx\n", op.name.c_str(),
-                  simd::to_string(isa), ns, speedup);
-      entries.push_back({op.name + "/" + simd::to_string(isa),
-                         ns,
-                         {{"ns_per_interaction", ns},
-                          {"speedup_vs_scalar", speedup},
-                          {"checksum", checksum}}});
+      if (isa == simd::Isa::kScalar) {
+        scalar_ns = ns;
+        scalar_sum = checksum;
+      }
+      const double speedup = scalar_ns / ns;
+      std::printf("%-22s %-8s %14.3f %9.2fx %24.17g\n", op.name.c_str(), name,
+                  ns, speedup, checksum);
+      if (!rel_close(checksum, scalar_sum)) {
+        gate.fail("%s: %s checksum %.17g != scalar %.17g (rtol 1e-12)",
+                  op.name.c_str(), name, checksum, scalar_sum);
+      }
+      if (isa == entry && !rel_close(checksum, entry_sums[k])) {
+        gate.fail("%s: %s checksum %.17g != %.17g at startup (rtol 1e-12)",
+                  op.name.c_str(), name, checksum, entry_sums[k]);
+      }
+      if (isa == simd::Isa::kAvx2 && op.name.starts_with("P2P") &&
+          speedup < 2.0) {
+        gate.fail("%s: avx2 speedup %.2fx below the 2.0x floor",
+                  op.name.c_str(), speedup);
+      }
     }
   }
   simd::set_active_isa(entry);
-
-  if (!bench::write_bench_json(path, entries)) {
-    std::fprintf(stderr, "micro_operators: cannot write %s\n", path.c_str());
-    return 1;
+  if (gate.ok) {
+    std::printf("\nKERNEL SWEEP OK: %zu ops, startup isa %s\n",
+                std::size(ops), simd::to_string(entry));
   }
-  std::printf("\nkernel sweep written to %s\n", path.c_str());
-  return 0;
+  return gate.ok ? 0 : 1;
 }
-
-// Console reporter that also collects (name, ns/op) so a machine-readable
-// summary can be written next to the usual console table.
-class CollectingReporter : public benchmark::ConsoleReporter {
- public:
-  std::vector<bench::BenchEntry> entries;
-
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& run : runs) {
-      if (run.run_type == Run::RT_Iteration && !run.error_occurred) {
-        // p = 3 * digits; the fixtures run setup(1.0, 8, 3).
-        entries.push_back({run.benchmark_name(), run.GetAdjustedRealTime(),
-                           {{"p", 9.0}}});
-      }
-    }
-    benchmark::ConsoleReporter::ReportRuns(runs);
-  }
-};
 
 }  // namespace
 
-// BENCHMARK_MAIN() plus three flags stripped before the remaining argv is
-// handed to the benchmark library:
-//   --json <path>          write {name, p, ns_per_op} records after the run
-//   --isa <name>           force the SIMD dispatch ISA (scalar|neon|avx2|
-//                          avx512); errors out if unsupported on this host
-//   --kernels-json <path>  run the per-ISA SIMD kernel sweep instead of the
-//                          operator benchmarks and write BENCH_kernels.json
+// BENCHMARK_MAIN() plus `--kernel-sweep`, which runs the self-checking
+// per-ISA SIMD kernel sweep instead of the operator benchmarks and exits 1
+// on any violation.  AMTFMM_FORCE_ISA pins the dispatch ISA either way.
 int main(int argc, char** argv) {
-  std::string json_path, kernels_json, isa_name;
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::string(argv[i]) == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::string(argv[i]) == "--kernels-json" && i + 1 < argc) {
-      kernels_json = argv[++i];
-    } else if (std::string(argv[i]) == "--isa" && i + 1 < argc) {
-      isa_name = argv[++i];
-    } else {
-      args.push_back(argv[i]);
-    }
+  for (int i = 1; i < argc; ++i) {
+    if (std::string(argv[i]) == "--kernel-sweep") return run_kernel_sweep();
   }
-  if (!isa_name.empty()) {
-    simd::Isa isa{};
-    if (!simd::parse_isa(isa_name, isa) || !simd::set_active_isa(isa)) {
-      std::fprintf(stderr,
-                   "micro_operators: --isa '%s' unknown or unsupported on "
-                   "this host\n",
-                   isa_name.c_str());
-      return 1;
-    }
-  }
-  if (!kernels_json.empty()) {
-    const bool forced =
-        !isa_name.empty() || std::getenv("AMTFMM_FORCE_ISA") != nullptr;
-    return run_kernel_sweep(kernels_json, forced);
-  }
-
-  int filtered = static_cast<int>(args.size());
-  benchmark::Initialize(&filtered, args.data());
-  if (benchmark::ReportUnrecognizedArguments(filtered, args.data())) return 1;
-
-  CollectingReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-
-  if (!json_path.empty() &&
-      !bench::write_bench_json(json_path, reporter.entries)) {
-    std::fprintf(stderr, "micro_operators: cannot write %s\n",
-                 json_path.c_str());
-    return 1;
-  }
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;
 }

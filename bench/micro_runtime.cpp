@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cinttypes>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -243,33 +244,11 @@ void BM_ParcelFanOutSim(benchmark::State& state) {
 }
 BENCHMARK(BM_ParcelFanOutSim)->Arg(0)->Arg(1);
 
-// Console reporter that also collects (name, ns/op, counters) so a
-// machine-readable summary can be written next to the console table.
-class CollectingReporter : public benchmark::ConsoleReporter {
- public:
-  std::vector<bench::BenchEntry> entries;
-
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& run : runs) {
-      if (run.run_type == Run::RT_Iteration && !run.error_occurred) {
-        bench::BenchEntry e{run.benchmark_name(), run.GetAdjustedRealTime(),
-                            {}};
-        for (const auto& [name, counter] : run.counters) {
-          e.counters.emplace_back(name, counter.value);
-        }
-        entries.push_back(std::move(e));
-      }
-    }
-    benchmark::ConsoleReporter::ReportRuns(runs);
-  }
-};
-
-// --- Socket transport micro-benchmark (--transport-json) -------------------
+// --- Socket transport sweep (--transport-sweep) ----------------------------
 //
 // Round-trip latency, one-way message rate, and bandwidth over a real
 // two-rank socket mesh inside this process, plus an exact sent==received
-// parity check.  Written as BENCH_transport.json and gated by
-// scripts/check_bench_transport.py in CI.
+// payload parity check.  Every number is gated where it is measured.
 
 net::NetConfig transport_cfg(std::uint32_t rank, const std::string& dir,
                              net::TransportKind kind) {
@@ -294,11 +273,12 @@ net::WireBatch transport_batch(std::uint32_t src, std::size_t payload_bytes) {
   return b;
 }
 
-/// Runs the ping-pong / streaming measurements over one transport kind and
-/// appends result rows.  The echo logic lives in rank 1's batch callback,
-/// so every round trip crosses the progress engines of both ranks.
-void run_transport_bench(net::TransportKind kind, const std::string& kind_name,
-                         std::vector<bench::BenchEntry>& out) {
+/// Runs the ping-pong / streaming measurements over one transport kind,
+/// prints one row each and checks it.  The echo logic lives in rank 1's
+/// batch callback, so every round trip crosses the progress engines of
+/// both ranks.
+void run_transport_bench(net::TransportKind kind, const char* kind_name,
+                         bench::Gate& gate) {
   namespace fs = std::filesystem;
   const fs::path dir =
       fs::temp_directory_path() /
@@ -374,13 +354,12 @@ void run_transport_bench(net::TransportKind kind, const std::string& kind_name,
     const std::uint64_t want = kWarmup + i + 1;
     wait_until([&] { return echoes >= want; });
   }
-  const double rtt_s = rtt_timer.seconds();
-  {
-    bench::BenchEntry e;
-    e.name = "transport_roundtrip/" + kind_name;
-    e.ns_per_op = rtt_s * 1e9 / static_cast<double>(kRoundTrips);
-    e.counters.emplace_back("round_trips", static_cast<double>(kRoundTrips));
-    out.push_back(std::move(e));
+  const double rtt_ns =
+      rtt_timer.seconds() * 1e9 / static_cast<double>(kRoundTrips);
+  std::printf("transport_roundtrip/%-5s %14.0f ns/round trip\n", kind_name,
+              rtt_ns);
+  if (!(rtt_ns > 0.0)) {
+    gate.fail("transport_roundtrip/%s: non-positive time", kind_name);
   }
 
   // One-way message rate: a burst of small batches against the window.
@@ -395,14 +374,15 @@ void run_transport_bench(net::TransportKind kind, const std::string& kind_name,
     t0.post_batch(1, transport_batch(0, 32));
   }
   wait_until([&] { return recvd1 >= base + kMsgs; });
-  const double rate_s = rate_timer.seconds();
-  {
-    bench::BenchEntry e;
-    e.name = "transport_msg_rate/" + kind_name;
-    e.ns_per_op = rate_s * 1e9 / static_cast<double>(kMsgs);
-    e.counters.emplace_back("msgs_per_s",
-                            static_cast<double>(kMsgs) / rate_s);
-    out.push_back(std::move(e));
+  const double msgs_per_s =
+      static_cast<double>(kMsgs) / rate_timer.seconds();
+  std::printf("transport_msg_rate/%-5s  %14.0f msgs/s\n", kind_name,
+              msgs_per_s);
+  // CI machines are slow and shared: the floor sits far below the measured
+  // ~300k/s.
+  if (msgs_per_s < 3000.0) {
+    gate.fail("transport_msg_rate/%s: %.0f msgs/s below floor 3000",
+              kind_name, msgs_per_s);
   }
 
   // Bandwidth: few large payloads.
@@ -416,34 +396,27 @@ void run_transport_bench(net::TransportKind kind, const std::string& kind_name,
     t0.post_batch(1, transport_batch(0, kBigBytes));
   }
   wait_until([&] { return recvd1 >= base2 + kBig; });
-  const double bw_s = bw_timer.seconds();
-  {
-    bench::BenchEntry e;
-    e.name = "transport_bandwidth/" + kind_name;
-    e.ns_per_op = bw_s * 1e9 / static_cast<double>(kBig);
-    e.counters.emplace_back(
-        "bytes_per_s", static_cast<double>(kBig * kBigBytes) / bw_s);
-    out.push_back(std::move(e));
+  const double bytes_per_s =
+      static_cast<double>(kBig * kBigBytes) / bw_timer.seconds();
+  std::printf("transport_bandwidth/%-5s %14.3g bytes/s\n", kind_name,
+              bytes_per_s);
+  if (!(bytes_per_s > 0.0)) {
+    gate.fail("transport_bandwidth/%s: no bandwidth", kind_name);
   }
 
   // Parity: every posted frame was fully written and fully decoded, and
   // the logical payload bytes survived exactly (wire == sent invariant).
   t0.stop();
   t1.stop();
-  const std::uint64_t sent_msgs = metrics0.snapshot().value("net.msgs_sent");
   const std::uint64_t sent_bytes =
       (kWarmup + kRoundTrips) * 8 + kMsgs * 32 + kBig * kBigBytes;
-  {
-    bench::BenchEntry e;
-    e.name = "transport_parity/" + kind_name;
-    e.ns_per_op = 0.0;
-    e.counters.emplace_back("posted_payload_bytes",
-                            static_cast<double>(sent_bytes));
-    e.counters.emplace_back("recvd_payload_bytes",
-                            static_cast<double>(recvd1_bytes));
-    e.counters.emplace_back("sent_frames", static_cast<double>(sent_msgs));
-    e.counters.emplace_back("recvd_frames", static_cast<double>(recvd1));
-    out.push_back(std::move(e));
+  std::printf("transport_parity/%-5s   %14" PRIu64 " payload bytes posted, "
+              "%" PRIu64 " received\n",
+              kind_name, sent_bytes, recvd1_bytes);
+  if (sent_bytes != recvd1_bytes || sent_bytes == 0) {
+    gate.fail("transport_parity/%s: posted %" PRIu64 " != received %" PRIu64
+              " payload bytes",
+              kind_name, sent_bytes, recvd1_bytes);
   }
 
   std::error_code ec;
@@ -452,50 +425,21 @@ void run_transport_bench(net::TransportKind kind, const std::string& kind_name,
 
 }  // namespace
 
-// BENCHMARK_MAIN() plus a `--json <path>` flag: when given, a JSON array of
-// {name, ns_per_op, counters...} records is written to <path> after the
-// run.  A separate `--transport-json <path>` runs the socket-transport
-// measurements and writes BENCH_transport.json-style rows.  Both flags are
-// stripped before argv is handed to the benchmark library.
+// BENCHMARK_MAIN() plus `--transport-sweep`, which runs the self-checking
+// socket-transport sweep over unix and tcp and exits (1 on any violation)
+// before the benchmark library starts.
 int main(int argc, char** argv) {
-  std::string json_path;
-  std::string transport_json_path;
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::string(argv[i]) == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::string(argv[i]) == "--transport-json" && i + 1 < argc) {
-      transport_json_path = argv[++i];
-    } else {
-      args.push_back(argv[i]);
-    }
+  for (int i = 1; i < argc; ++i) {
+    if (std::string(argv[i]) != "--transport-sweep") continue;
+    bench::Gate gate{"TRANSPORT SWEEP"};
+    run_transport_bench(net::TransportKind::kUnix, "unix", gate);
+    run_transport_bench(net::TransportKind::kTcp, "tcp", gate);
+    if (gate.ok) std::printf("TRANSPORT SWEEP OK: unix, tcp\n");
+    return gate.ok ? 0 : 1;
   }
-  if (!transport_json_path.empty()) {
-    std::vector<bench::BenchEntry> rows;
-    run_transport_bench(net::TransportKind::kUnix, "unix", rows);
-    run_transport_bench(net::TransportKind::kTcp, "tcp", rows);
-    if (!bench::write_bench_json(transport_json_path, rows)) {
-      std::fprintf(stderr, "micro_runtime: cannot write %s\n",
-                   transport_json_path.c_str());
-      return 1;
-    }
-    for (const auto& r : rows) {
-      std::printf("%-32s %12.0f ns/op\n", r.name.c_str(), r.ns_per_op);
-    }
-  }
-  int filtered = static_cast<int>(args.size());
-  benchmark::Initialize(&filtered, args.data());
-  if (benchmark::ReportUnrecognizedArguments(filtered, args.data())) return 1;
-
-  CollectingReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-
-  if (!json_path.empty() &&
-      !bench::write_bench_json(json_path, reporter.entries)) {
-    std::fprintf(stderr, "micro_runtime: cannot write %s\n",
-                 json_path.c_str());
-    return 1;
-  }
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;
 }

@@ -17,9 +17,9 @@
 #   6. AddressSanitizer build + complete test suite,
 #   7. UndefinedBehaviorSanitizer build + complete test suite,
 #   8. clang-format check (skipped when clang-format is unavailable),
-#   9. benchmark smoke run with JSON output, including the per-ISA SIMD
-#      kernel sweep gated by scripts/check_bench_kernels.py and the socket
-#      transport sweep gated by scripts/check_bench_transport.py,
+#   9. benchmark smoke run with Google Benchmark's JSON output, then the
+#      self-checking per-ISA SIMD kernel sweep (also with the ISA forced to
+#      scalar) and socket transport sweep,
 #  10. multi-process parity: amtfmm_launch forks real socket localities
 #      (unix + tcp, 2 and 4 processes, both coalescing modes) and
 #      amtfmm_serve asserts multi-process == in-process potentials at
@@ -128,26 +128,21 @@ else
   echo "clang-format not installed; skipping (CI enforces it)"
 fi
 
-echo "== Benchmark smoke (JSON) =="
+echo "== Benchmark smoke (Google Benchmark JSON) =="
 mkdir -p build/bench-smoke
 ./build/bench/micro_operators --benchmark_min_time=0.05 \
-  --json build/bench-smoke/micro_operators.json
+  --benchmark_out=build/bench-smoke/micro_operators.json \
+  --benchmark_out_format=json
 ./build/bench/micro_runtime --benchmark_min_time=0.05 \
-  --json build/bench-smoke/micro_runtime.json
+  --benchmark_out=build/bench-smoke/micro_runtime.json \
+  --benchmark_out_format=json
 
-echo "== SIMD kernel sweep (BENCH_kernels.json) =="
-./build/bench/micro_operators \
-  --kernels-json build/bench-smoke/BENCH_kernels.json
-./build/bench/micro_operators --isa scalar \
-  --kernels-json build/bench-smoke/BENCH_kernels_scalar.json
-python3 scripts/check_bench_kernels.py build/bench-smoke/BENCH_kernels.json \
-  --ref build/bench-smoke/BENCH_kernels_scalar.json
+echo "== SIMD kernel sweep (self-gated; native, then forced scalar) =="
+./build/bench/micro_operators --kernel-sweep
+AMTFMM_FORCE_ISA=scalar ./build/bench/micro_operators --kernel-sweep
 
-echo "== Socket transport sweep (BENCH_transport.json) =="
-./build/bench/micro_runtime --benchmark_filter=NONE \
-  --transport-json build/bench-smoke/BENCH_transport.json
-python3 scripts/check_bench_transport.py \
-  build/bench-smoke/BENCH_transport.json
+echo "== Socket transport sweep (self-gated) =="
+./build/bench/micro_runtime --transport-sweep
 
 echo "== Multi-process parity (real socket localities) =="
 for np in 2 4; do
@@ -165,17 +160,10 @@ echo "== Resident pipeline steady state (self-gated) =="
 ./build/tools/amtfmm_launch --np=2 --transport=unix --timeout=120 \
   -- ./build/tools/amtfmm_serve --n=4000 --epochs=6 --cores=2
 
-echo "== Telemetry channel, trace merge, watchdog dump =="
-python3 scripts/check_telemetry.py --build-dir build
-
 echo "== Trace export + critical-path analysis =="
 ./build/bench/fig4_utilization --n 20000 --intervals 20 \
-  --trace-out=build/bench-smoke/fig4_trace.json \
-  --json=build/bench-smoke/fig4_summary.json
+  --trace-out=build/bench-smoke/fig4_trace.json
 ./build/tools/trace_report build/bench-smoke/fig4_trace.json \
   --out build/bench-smoke/fig4_report.json
-python3 -m json.tool build/bench-smoke/fig4_trace.json > /dev/null
-python3 -m json.tool build/bench-smoke/fig4_summary.json > /dev/null
-python3 -m json.tool build/bench-smoke/fig4_report.json > /dev/null
 
 echo "== All checks passed =="

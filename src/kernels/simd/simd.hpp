@@ -40,7 +40,7 @@ std::vector<Isa> supported_isas();
 Isa active_isa();
 
 /// Overrides the dispatch ISA at runtime (tests, benchmarks, the
-/// micro_operators --isa flag).  Returns false and leaves the active ISA
+/// micro_operators --kernel-sweep ISA loop).  Returns false and leaves the active ISA
 /// unchanged when the variant is unsupported on this host.
 bool set_active_isa(Isa isa);
 

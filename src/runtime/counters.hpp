@@ -18,8 +18,8 @@ class JsonWriter;
 /// Point-in-time view of every registered metric, merged across the
 /// per-worker shards: counters sum, gauges take the maximum (they record
 /// high-water marks), histograms sum bucket-wise.  Snapshots are attached
-/// to EvalResult/SimResult, serialized by the bench `--json` outputs and
-/// the Chrome trace exporter, and shipped as telemetry sample windows.
+/// to EvalResult/SimResult, serialized by the Chrome trace exporter, and
+/// shipped as telemetry sample windows.
 struct CounterSnapshot {
   struct Scalar {
     std::string name;

@@ -151,10 +151,13 @@ void NetExecutor::send(std::uint32_t from, std::uint32_t to,
 void NetExecutor::transmit(ParcelBatch b, bool coalesced) {
   const double tn = now();
   rt_->account_batch(b, tn, tn, coalesced);
-  const int w = current_worker();
-  if (w >= 0 && rt_->trace().enabled()) {
-    rt_->trace().record_instant(static_cast<std::uint32_t>(w),
-                                TraceKind::kParcelSend, tn, b.dst);
+  // Flushes from drain() and the progress thread send too: every batch
+  // needs its send instant, or trace_merge's FIFO pairing of sends with
+  // the peer's receives slips by one per unrecorded send.
+  if (rt_->trace().enabled()) {
+    rt_->trace().record_instant(
+        static_cast<std::uint32_t>(LocalityRuntime::metric_worker()),
+        TraceKind::kParcelSend, tn, b.dst);
   }
   WireBatch wb;
   wb.src = b.src;

@@ -170,7 +170,8 @@ void TelemetrySampler::stop() {
   cv_.notify_all();
   if (th_.joinable()) th_.join();
   // Final flush off-thread so runs shorter than one interval still ship
-  // one sample (check_telemetry.py scrapes right after a short serve run).
+  // one sample (amtfmm_serve checks every rank's samples right after a
+  // short run).
   take_sample(true);
 }
 

@@ -41,7 +41,8 @@ bool telemetry_decode(const std::string& text, TelemetrySample& out,
 /// Prometheus-style text exposition of the latest sample per rank:
 /// counters become per-second rate gauges (`amtfmm_<name>_rate`), gauges
 /// map directly, histograms expose window count/p50/p99.  Metric names
-/// sanitize '.' to '_'.  Grammar is validated by scripts/check_telemetry.py.
+/// sanitize '.' to '_'.  Grammar is tested by
+/// TelemetryProm.ExpositionGrammarAndNames.
 std::string telemetry_render_prom(const std::vector<TelemetrySample>& latest);
 
 /// Per-locality sampling thread: every `interval_s` it snapshots the

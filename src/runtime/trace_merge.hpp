@@ -59,9 +59,11 @@ struct TraceMergeReport {
   double critical_path_s = 0.0;
 };
 
-/// Merges per-rank traces into one corrected Chrome trace at `out_path`
-/// (empty: analysis only).  Inputs may be in any rank order; rank identity
-/// comes from each file's metadata.  A missing rank 0 makes the
+/// Merges per-rank traces into one corrected Chrome trace at `out_path`,
+/// which must be non-empty: the cross-rank critical path is computed from
+/// the merged file, so an empty path returns an invalid report.  Inputs
+/// may be in any rank order; rank identity comes from each file's
+/// metadata.  A missing rank 0 makes the
 /// lowest-rank input the timeline reference.
 TraceMergeReport trace_merge(const std::vector<std::string>& inputs,
                              const std::string& out_path);

@@ -10,8 +10,8 @@
 namespace amtfmm {
 
 /// Streaming JSON writer with correct string escaping and automatic comma
-/// placement.  Shared by the bench `--json` outputs, the Chrome trace
-/// exporter, and the trace_report analyzer, so every machine-readable
+/// placement.  Shared by the Chrome trace exporter, the telemetry channel,
+/// and the trace_report analyzer, so every machine-readable
 /// artifact of the repo is produced by one implementation.
 ///
 /// Usage:

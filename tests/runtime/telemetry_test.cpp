@@ -1,11 +1,13 @@
 // Telemetry channel tests: window deltas, the JSON wire format, the
 // Prometheus exposition, and the sampler -> aggregator -> snapshot-file
 // pipeline end to end (all in-process; the cross-rank transport leg is
-// covered by scripts/check_telemetry.py against a real 2-process serve).
+// checked by amtfmm_serve's rank 0 in the Serve.unix_np2 test).
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <regex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -109,6 +111,24 @@ TEST(TelemetryProm, ExpositionGrammarAndNames) {
   EXPECT_NE(text.find("amtfmm_serve_epoch_us_window_count{rank=\"1\"} 4"),
             std::string::npos);
   EXPECT_NE(text.find("amtfmm_serve_epoch_us_p99"), std::string::npos);
+  // Text exposition grammar: `# TYPE name gauge` lines and
+  // `name{rank="N"} value` samples, nothing else.
+  const std::regex type_re("# TYPE [a-zA-Z_:][a-zA-Z0-9_:]* gauge");
+  const std::regex sample_re(
+      R"re([a-zA-Z_:][a-zA-Z0-9_:]*\{rank="\d+"\} )re"
+      R"re([-+]?(\d+\.?\d*([eE][-+]?\d+)?|inf|nan))re");
+  std::istringstream lines(text);
+  std::size_t samples = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.empty()) continue;
+    if (line.front() == '#') {
+      EXPECT_TRUE(std::regex_match(line, type_re)) << line;
+    } else {
+      EXPECT_TRUE(std::regex_match(line, sample_re)) << line;
+      ++samples;
+    }
+  }
+  EXPECT_EQ(samples, 5u);  // rate, gauge, window count, p50, p99
   // No unsanitized '.' may survive in a metric name.
   for (std::size_t pos = 0; (pos = text.find("amtfmm_", pos)) !=
                             std::string::npos;

@@ -153,6 +153,11 @@ TEST(TraceMerge, RejectsDuplicateAndMissingInputs) {
                            tmp_path("missing_out.json"))
                    .valid);
   EXPECT_FALSE(trace_merge({}, tmp_path("empty_out.json")).valid);
+  // The cross-rank critical path is computed from the merged file, so a
+  // merge without an output path is rejected, not run as analysis only.
+  const TraceMergeReport no_out = trace_merge({p0}, "");
+  EXPECT_FALSE(no_out.valid);
+  EXPECT_EQ(no_out.error, "merge needs an output path");
 }
 
 }  // namespace

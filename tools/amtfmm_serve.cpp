@@ -25,11 +25,21 @@
 //      == summed comm.bytes == the in-process wire bytes == the DES
 //      simulation's, EXACTLY; and with world > 1 the net.* counters are
 //      live;
-//   6. the epoch watchdog fires only under an injected --stall.
+//   6. the epoch watchdog fires exactly when --stall and --watchdog are
+//      both set, and its flight dump DIR/flight.<rank>.json parses, names
+//      the watchdog as its reason and holds events;
+//   7. with --telemetry, rank 0's aggregator snapshot holds samples from
+//      every rank, rejected none, and its Prometheus exposition carries
+//      the families amtfmm_top --prom serves for every rank;
+//   8. with --trace-out on a socket world, rank 0 merges the per-rank
+//      traces onto its clock: valid, no negative cross-rank flow, clock
+//      uncertainty below 1 ms, and a cross-rank critical path no shorter
+//      than any rank's own.
 //
-// --trace-out writes per-rank Chrome traces of the resident epochs for
-// trace_report --merge.  Full tracing and the flight recorder's ring mode
-// never combine, so the recorder is attached only without --trace-out.
+// --trace-out writes per-rank Chrome traces of the resident epochs, the
+// inputs of check 8 and of trace_report --merge.  Full tracing and the
+// flight recorder's ring mode never combine, so the recorder is attached
+// only without --trace-out.
 
 #include <algorithm>
 #include <chrono>
@@ -40,6 +50,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -55,8 +66,10 @@
 #include "runtime/net/net_executor.hpp"
 #include "runtime/telemetry.hpp"
 #include "runtime/trace_export.hpp"
+#include "runtime/trace_merge.hpp"
 #include "runtime/watchdog.hpp"
 #include "support/cli.hpp"
+#include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/timer.hpp"
 
@@ -139,6 +152,97 @@ struct Gather {
     ++ranks_seen;
   }
 };
+
+/// Check 6's artifact: the flight dump the watchdog left at `path`.
+void check_flight_dump(const char* path, std::uint32_t rank, Verdict& v) {
+  std::string text, error;
+  JsonValue dump;
+  if (!read_file(path, text) || !json_parse(text, dump, error)) {
+    v.fail("rank %u flight dump %s unreadable %s", rank, path, error.c_str());
+    return;
+  }
+  const JsonValue* meta = dump.find("amtfmm_flight");
+  const std::string reason =
+      meta != nullptr ? meta->str_or("reason", "") : std::string();
+  if (reason.find("watchdog") == std::string::npos) {
+    v.fail("rank %u flight dump reason '%s' does not name the watchdog", rank,
+           reason.c_str());
+  }
+  const JsonValue* events = dump.find("traceEvents");
+  if (events == nullptr || !events->is_array() || events->array.empty()) {
+    v.fail("rank %u flight dump holds no events", rank);
+  }
+}
+
+/// Check 7, on rank 0 after the aggregator's final snapshot.
+void check_telemetry_snapshot(const TelemetryAggregator& agg,
+                              std::uint32_t world, Verdict& v) {
+  std::vector<std::vector<TelemetrySample>> series;
+  std::string error;
+  if (!telemetry_load_snapshot(agg.snapshot_path(), series, error)) {
+    v.fail("telemetry snapshot %s: %s", agg.snapshot_path().c_str(),
+           error.c_str());
+    return;
+  }
+  if (series.size() != world) {
+    v.fail("telemetry snapshot covers %zu ranks, want %u", series.size(),
+           world);
+  }
+  if (agg.rejected() != 0) {
+    v.fail("telemetry aggregator rejected %" PRIu64 " samples",
+           agg.rejected());
+  }
+  std::vector<TelemetrySample> latest;
+  for (std::size_t r = 0; r < series.size(); ++r) {
+    if (series[r].empty()) {
+      v.fail("rank %zu shipped no telemetry sample to rank 0", r);
+    } else {
+      latest.push_back(series[r].back());
+    }
+  }
+  const std::string prom = telemetry_render_prom(latest);
+  for (const TelemetrySample& s : latest) {
+    for (const char* family :
+         {"amtfmm_sched_tasks_run_rate", "amtfmm_serve_epoch_us_window_count",
+          "amtfmm_serve_epoch_us_p50", "amtfmm_serve_epoch_us_p99",
+          "amtfmm_gas_objects_hw"}) {
+      const std::string line = std::string(family) + "{rank=\"" +
+                               std::to_string(s.rank) + "\"} ";
+      if (prom.find("\n" + line) == std::string::npos) {
+        v.fail("rank %u: metric family %s missing from the exposition",
+               s.rank, family);
+      }
+    }
+  }
+}
+
+/// Check 8, on rank 0 once every rank has written its trace.
+void check_trace_merge(const std::string& prefix, std::uint32_t world,
+                       Verdict& v) {
+  std::vector<std::string> inputs;
+  for (std::uint32_t r = 0; r < world; ++r) {
+    inputs.push_back(prefix + "." + std::to_string(r));
+  }
+  const TraceMergeReport m = trace_merge(inputs, prefix + ".merged.json");
+  if (!m.valid) {
+    v.fail("trace merge invalid: %s", m.error.c_str());
+    return;
+  }
+  if (m.negative_flows != 0) {
+    v.fail("%" PRIu64 " negative cross-rank flows after clock correction",
+           m.negative_flows);
+  }
+  if (!(m.max_uncertainty_s < 1e-3)) {
+    v.fail("clock uncertainty %.3e s not sub-millisecond",
+           m.max_uncertainty_s);
+  }
+  for (const TraceMergeReport::Rank& r : m.ranks) {
+    if (m.cross_critical_path_s < r.critical_path_s) {
+      v.fail("cross-rank critical path %.6f s below rank %u's %.6f s",
+             m.cross_critical_path_s, r.rank, r.critical_path_s);
+    }
+  }
+}
 
 int run(int argc, char** argv) {
   Cli cli(
@@ -241,8 +345,12 @@ int run(int argc, char** argv) {
       flight_dir = net_dir != nullptr ? net_dir : ".";
     }
     flight.emplace(ex.trace());
-    flight->set_dump_path(flight_dir + "/flight." + std::to_string(rank) +
-                          ".json");
+    // A dump left by an earlier run must not pass check 6 for this one.
+    const std::string dump_path =
+        flight_dir + "/flight." + std::to_string(rank) + ".json";
+    std::error_code ec;
+    std::filesystem::remove(dump_path, ec);
+    flight->set_dump_path(dump_path);
     flight->set_meta(rank, cfg.cores_per_locality, ex.trace_clock());
     flight_install_crash_handler();
   }
@@ -336,7 +444,18 @@ int run(int argc, char** argv) {
              rank, e, r.wire_bytes, wire);
     }
   }
-  if (watchdog) watchdog->disarm();
+  if (watchdog) {
+    const bool fired = watchdog->fired();
+    const bool stalled = cli.f64("stall") > 0.0;
+    watchdog.reset();  // joins the monitor thread: a dump is complete
+    if (fired != stalled) {
+      v.fail("rank %u watchdog %s (--watchdog=%g --stall=%g)", rank,
+             fired ? "fired without an injected stall"
+                   : "did not fire under the injected stall",
+             cli.f64("watchdog"), cli.f64("stall"));
+    }
+    if (fired && flight) check_flight_dump(flight->dump_path(), rank, v);
+  }
   if (steady_allocs != 0) {
     v.fail("rank %u steady state allocated %" PRIu64 " GAS objects (want 0)",
            rank, steady_allocs);
@@ -408,6 +527,10 @@ int run(int argc, char** argv) {
     // Gather: one more drain epoch carries every peer's epoch-1 partials
     // and byte counts to rank 0.
     if (rank != 0) {
+      // The final telemetry sample shares the per-peer outbox FIFO with
+      // the gather parcel, so stopping the sampler first lands it on
+      // rank 0 before the gather completes.
+      if (sampler) sampler->stop();
       auto buf = std::make_shared<std::vector<std::byte>>(Gather::pack(first));
       Task t;
       t.locality = 0;
@@ -426,9 +549,7 @@ int run(int argc, char** argv) {
   if (aggregator) {
     if (net_mode) nex->set_on_telemetry(nullptr);
     aggregator->stop();
-  }
-  if (watchdog && watchdog->fired() && cli.f64("stall") <= 0.0) {
-    v.fail("rank %u watchdog fired without an injected stall", rank);
+    check_telemetry_snapshot(*aggregator, world, v);
   }
 
   const double steady_sum = std::accumulate(lat.begin(), lat.end(), 0.0);
@@ -498,6 +619,7 @@ int run(int argc, char** argv) {
       v.fail("net dead (msgs_sent=%" PRIu64 " progress_iters=%" PRIu64
              " wire_bytes=%" PRIu64 ")", msgs, iters, wire);
     }
+    if (cfg.trace) check_trace_merge(trace_out, world, v);
   }
   if (!v.ok) return 1;
 

@@ -9,8 +9,8 @@
 // file the rank-0 TelemetryAggregator atomically republishes (write tmp +
 // rename), so attaching, detaching, or killing the viewer cannot perturb
 // the world being observed.  `--prom` emits the text exposition format so
-// the same channel feeds a scraper; its grammar is validated by
-// scripts/check_telemetry.py.
+// the same channel feeds a scraper; its grammar is tested by
+// TelemetryProm.ExpositionGrammarAndNames.
 
 #include <algorithm>
 #include <chrono>
