@@ -28,8 +28,8 @@ int main(int argc, char** argv) {
                "binary priority extension");
   std::printf("%zu points cube Laplace; efficiency relative to the same "
               "scheduler at 32 cores\n\n", n);
-  std::printf("%8s %16s %16s %16s %14s\n", "cores", "t work-steal [s]",
-              "t priority [s]", "t fifo [s]", "eff gain");
+  std::printf("%8s %16s %16s %16s %14s %14s\n", "cores", "t work-steal [s]",
+              "t priority [s]", "t fifo [s]", "eff gain", "fifo eff");
 
   double base_ws = -1, base_prio = -1, base_fifo = -1;
   for (int cores = 32; cores <= 2048; cores *= 2) {
@@ -54,8 +54,9 @@ int main(int argc, char** argv) {
     }
     const double eff_ws = base_ws / t_ws / (cores / 32.0);
     const double eff_prio = base_prio / t_prio / (cores / 32.0);
-    std::printf("%8d %16.4f %16.4f %16.4f %12.1f%%\n", cores, t_ws, t_prio,
-                t_fifo, 100.0 * (eff_prio - eff_ws));
+    const double eff_fifo = base_fifo / t_fifo / (cores / 32.0);
+    std::printf("%8d %16.4f %16.4f %16.4f %12.1f%% %12.1f%%\n", cores, t_ws,
+                t_prio, t_fifo, 100.0 * (eff_prio - eff_ws), 100.0 * eff_fifo);
   }
   std::printf("\npaper estimate: priorities recover >= 10%% scaling "
               "efficiency at high core counts.\n");

@@ -3,7 +3,7 @@
 #   1. invariant lint self-test, then the lint itself (threading /
 #      memory-order / payload / seed rules), and the benchmark driver's
 #      self-test,
-#   2. Release build + complete test suite, the runtime/pipeline tests
+#   2. Release build (-DAMTFMM_WERROR=ON) + complete test suite, the runtime/pipeline tests
 #      re-run pinned to one CPU (taskset -c 0) and three times in random
 #      order (with the net/serve tests), plus the kernel/operator tests
 #      re-run with AMTFMM_FORCE_ISA=scalar (SIMD dispatch pinned off),
@@ -11,8 +11,9 @@
 #      -Wthread-safety -Werror build, tests/static try_compile proofs,
 #      and the amtfmm_lint AST analyzer over the compilation database,
 #   3. rtcheck model-checker sweep (exhaustive DFS + seeded mutations + PCT),
-#   4. Debug build of the multi-locality parity / LCO-semantics tests
-#      (assertions and the GAS/ownership debug checks enabled),
+#   4. Debug build (-DAMTFMM_WERROR=ON) of the multi-locality parity /
+#      LCO-semantics tests (assertions and the GAS/ownership debug checks
+#      enabled),
 #   5. ThreadSanitizer build of the concurrency-sensitive targets,
 #   6. AddressSanitizer build + complete test suite,
 #   7. UndefinedBehaviorSanitizer build + complete test suite,
@@ -38,8 +39,8 @@ python3 scripts/test_lint_invariants.py
 python3 scripts/lint_invariants.py
 python3 fmmbench/test_run.py
 
-echo "== Release build + full test suite =="
-cmake -B build -S . >/dev/null
+echo "== Release build (warnings are errors) + full test suite =="
+cmake -B build -S . -DAMTFMM_WERROR=ON >/dev/null
 cmake --build build -j"$JOBS"
 # Top-level CMakeLists exports the compilation database; surface it at the
 # repo root for clangd, run-clang-tidy, and amtfmm_lint -p defaults.
@@ -88,7 +89,8 @@ echo "== rtcheck: randomized (PCT) quick pass =="
 ./build/tools/rtcheck --mode pct --executions 64 --seed 1
 
 echo "== Debug build (multi-locality parity, LCO semantics, GAS checks) =="
-cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug >/dev/null
+cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug -DAMTFMM_WERROR=ON \
+  >/dev/null
 cmake --build build-debug -j"$JOBS" --target \
   expansion_lco_test gas_test evaluator_test sim_test
 ctest --test-dir build-debug --output-on-failure -j"$JOBS" \

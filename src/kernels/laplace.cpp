@@ -9,29 +9,11 @@
 #include "support/scratch_arena.hpp"
 
 namespace amtfmm {
-namespace {
-
-/// (-i)^m for signed integer m ((-i)^{-1} = i).  The plane-wave expansion of
-/// the conjugated-regular basis carries the signed power (verified
-/// numerically; see tests/kernels/kernel_test.cpp).
-cdouble minus_i_pow(int m) {
-  switch (((m % 4) + 4) & 3) {
-    case 0: return {1.0, 0.0};
-    case 1: return {0.0, -1.0};
-    case 2: return {-1.0, 0.0};
-    default: return {0.0, 1.0};
-  }
-}
-
-}  // namespace
-
 void LaplaceKernel::setup(double domain_size, int max_level,
                           int accuracy_digits) {
   AMTFMM_ASSERT(accuracy_digits >= 1 && accuracy_digits <= 10);
-  (void)max_level;
   domain_size_ = domain_size;
   p_ = 3 * accuracy_digits;
-  quad_ = make_planewave_quadrature(std::pow(10.0, -accuracy_digits - 1), 0.0);
   g_multipole_.assign(sq_count(p_), 0.0);
   g_local_.assign(sq_count(p_), 0.0);
   for (int n = 0; n <= p_; ++n) {
@@ -41,11 +23,34 @@ void LaplaceKernel::setup(double domain_size, int max_level,
       g_local_[sq_index(n, m)] = sign / factorial(n + std::abs(m));
     }
   }
-  for (std::size_t d = 0; d < kAllAxes.size(); ++d) {
-    const Mat3 q = axis_to_z(kAllAxes[d]);
-    fwd_[d] = AngularTransform(p_, q);
-    inv_[d] = AngularTransform(p_, q.transpose());
+  // 1/r is scale invariant: one quadrature, in box units, serves every
+  // level.  M->I carries lam_k^n, I->L (-lam_k)^n; the plane-wave expansion
+  // of the conjugated-regular basis carries the signed power (-i)^m
+  // (verified numerically; see tests/kernels/kernel_test.cpp).
+  PlaneWaveSpec pw;
+  pw.p = p_;
+  pw.domain_size = domain_size;
+  pw.max_level = max_level;
+  pw.m2i_weight = g_multipole_;
+  pw.i2l_weight = g_local_;
+  pw.local_sign = -1;
+  for (int m = -p_; m <= p_; ++m) pw.phase.push_back(minus_i_pow(m));
+  PlaneWaveSpec::Tables& t = pw.levels.emplace_back();
+  t.quad = make_planewave_quadrature(std::pow(10.0, -accuracy_digits - 1), 0.0);
+  const std::size_t stride = tri_index(p_, p_) + 1;
+  t.m2i_radial.assign(static_cast<std::size_t>(t.quad.count) * stride, 0.0);
+  t.i2l_radial.assign(t.m2i_radial.size(), 0.0);
+  for (std::size_t k = 0; k < static_cast<std::size_t>(t.quad.count); ++k) {
+    const double lam = t.quad.lambda[k];
+    for (int m = 0; m <= p_; ++m) {
+      double ln = std::pow(lam, m);
+      for (int n = m; n <= p_; ++n, ln *= lam) {
+        t.m2i_radial[k * stride + tri_index(n, m)] = ln;
+        t.i2l_radial[k * stride + tri_index(n, m)] = std::pow(-lam, n);
+      }
+    }
   }
+  setup_planewave(std::move(pw));
   // Rotation-based M2L tables.  The axial irregular solid harmonic
   // Shh_l^0(d zhat; s) = l! (s/d)^{l+1} depends only on d/s = |nu|, so one
   // F table per distance class serves every level.
@@ -250,119 +255,6 @@ double LaplaceKernel::l2t(const CoeffVec& in, const Vec3& center, int level,
 Vec3 LaplaceKernel::l2t_grad(const CoeffVec& in, const Vec3& center, int level,
                              const Vec3& t) const {
   return grad_conj_regular(p_, in, t - center, scale(level));
-}
-
-void LaplaceKernel::m2i(const CoeffVec& m, int level, Axis d,
-                        CoeffVec& out) const {
-  // The Sommerfeld identity is discretized in box units; converting the
-  // 1/r-dimensioned kernel back to physical units costs one 1/box_size.
-  const double inv_w = 1.0 / scale(level);
-  out.assign(quad_.total, cdouble{});
-  auto& arena = ScratchArena::local();
-  auto mrot_lease = arena.coeffs();
-  auto g_lease = arena.coeffs();
-  CoeffVec& mrot = *mrot_lease;
-  fwd_[static_cast<std::size_t>(d)].apply(m, g_multipole_, 1, mrot);
-  // G(k, mm) = sum_{n >= |mm|} lam_k^n Mrot_n^mm
-  const int s = quad_.count;
-  std::vector<cdouble>& g = *g_lease;
-  g.assign(static_cast<std::size_t>(2 * p_ + 1), cdouble{});
-  for (int k = 0; k < s; ++k) {
-    const double lam = quad_.lambda[static_cast<std::size_t>(k)];
-    for (int mm = -p_; mm <= p_; ++mm) {
-      cdouble acc{};
-      double ln = std::pow(lam, std::abs(mm));
-      for (int n = std::abs(mm); n <= p_; ++n) {
-        acc += ln * mrot[sq_index(n, mm)];
-        ln *= lam;
-      }
-      g[static_cast<std::size_t>(mm + p_)] = acc * minus_i_pow(mm);
-    }
-    const int mk = quad_.m_count[static_cast<std::size_t>(k)];
-    const std::size_t off = quad_.offset[static_cast<std::size_t>(k)];
-    const double wk = inv_w * quad_.weight[static_cast<std::size_t>(k)] / mk;
-    for (int j = 0; j < mk; ++j) {
-      const cdouble e{quad_.cos_alpha[off + static_cast<std::size_t>(j)],
-                      quad_.sin_alpha[off + static_cast<std::size_t>(j)]};
-      // sum_m g_m e^{i m alpha_j} via incremental powers
-      cdouble acc = g[static_cast<std::size_t>(p_)];
-      cdouble ep{1.0, 0.0};
-      for (int mm = 1; mm <= p_; ++mm) {
-        ep *= e;
-        acc += g[static_cast<std::size_t>(p_ + mm)] * ep +
-               g[static_cast<std::size_t>(p_ - mm)] * std::conj(ep);
-      }
-      out[off + static_cast<std::size_t>(j)] = wk * acc;
-    }
-  }
-}
-
-void LaplaceKernel::i2i_acc(const CoeffVec& in, Axis d, const Vec3& offset,
-                            int level, CoeffVec& inout) const {
-  const double w = scale(level);
-  const Vec3 o = axis_to_z(d) * offset;  // rotated-frame offset
-  // Merge legs ascend the cone; the parent->child shift leg may step back
-  // by up to half a (parent) box.  The composed source->target translation
-  // always lands in the valid z in [1,4] range.
-  AMTFMM_ASSERT_MSG(o.z / w > -1.01, "I->I translation leaves the cone");
-  const double dz = o.z / w, dx = o.x / w, dy = o.y / w;
-  for (int k = 0; k < quad_.count; ++k) {
-    const double lam = quad_.lambda[static_cast<std::size_t>(k)];
-    const double damp = std::exp(-quad_.mu[static_cast<std::size_t>(k)] * dz);
-    const int mk = quad_.m_count[static_cast<std::size_t>(k)];
-    const std::size_t off = quad_.offset[static_cast<std::size_t>(k)];
-    for (int j = 0; j < mk; ++j) {
-      const double phase =
-          lam * (dx * quad_.cos_alpha[off + static_cast<std::size_t>(j)] +
-                 dy * quad_.sin_alpha[off + static_cast<std::size_t>(j)]);
-      inout[off + static_cast<std::size_t>(j)] +=
-          in[off + static_cast<std::size_t>(j)] * damp *
-          cdouble{std::cos(phase), std::sin(phase)};
-    }
-  }
-}
-
-void LaplaceKernel::i2l_acc(const CoeffVec& in, Axis d, int level,
-                            CoeffVec& inout) const {
-  (void)level;
-  // F(k, m) = sum_j W(k,j) e^{i m alpha_j}; Lrot_n^m = sum_k (-lam)^n
-  // (-i)^{|m|} F(k, m); then rotate back into the unrotated local frame.
-  auto& arena = ScratchArena::local();
-  auto lrot_lease = arena.coeffs();
-  auto f_lease = arena.coeffs();
-  auto lback_lease = arena.coeffs();
-  CoeffVec& lrot = *lrot_lease;
-  lrot.assign(sq_count(p_), cdouble{});
-  std::vector<cdouble>& f = *f_lease;
-  f.assign(static_cast<std::size_t>(2 * p_ + 1), cdouble{});
-  for (int k = 0; k < quad_.count; ++k) {
-    std::fill(f.begin(), f.end(), cdouble{});
-    const int mk = quad_.m_count[static_cast<std::size_t>(k)];
-    const std::size_t off = quad_.offset[static_cast<std::size_t>(k)];
-    for (int j = 0; j < mk; ++j) {
-      const cdouble wkj = in[off + static_cast<std::size_t>(j)];
-      const cdouble e{quad_.cos_alpha[off + static_cast<std::size_t>(j)],
-                      quad_.sin_alpha[off + static_cast<std::size_t>(j)]};
-      f[static_cast<std::size_t>(p_)] += wkj;
-      cdouble ep{1.0, 0.0};
-      for (int mm = 1; mm <= p_; ++mm) {
-        ep *= e;
-        f[static_cast<std::size_t>(p_ + mm)] += wkj * ep;
-        f[static_cast<std::size_t>(p_ - mm)] += wkj * std::conj(ep);
-      }
-    }
-    const double lam = quad_.lambda[static_cast<std::size_t>(k)];
-    for (int n = 0; n <= p_; ++n) {
-      const double radial = std::pow(-lam, n);
-      for (int mm = -n; mm <= n; ++mm) {
-        lrot[sq_index(n, mm)] += radial * minus_i_pow(mm) *
-                                 f[static_cast<std::size_t>(mm + p_)];
-      }
-    }
-  }
-  CoeffVec& lback = *lback_lease;
-  inv_[static_cast<std::size_t>(d)].apply(lrot, g_local_, -1, lback);
-  for (std::size_t i = 0; i < lback.size(); ++i) inout[i] += lback[i];
 }
 
 }  // namespace amtfmm

@@ -1,10 +1,7 @@
 #pragma once
 
-#include <array>
-
-#include "kernels/kernel.hpp"
+#include "kernels/planewave_kernel.hpp"
 #include "math/m2l_rotation.hpp"
-#include "math/planewave.hpp"
 
 namespace amtfmm {
 
@@ -25,22 +22,20 @@ namespace amtfmm {
 ///   M2L:  Lh_j^k += (-1)^j / s * sum Mh_n^m Sh_{n+j}^{m+k}(t; s)
 ///   S2L:  Lh_j^k += q (-1)^j Sh_j^k(c - p; s) / s
 ///   L2L:  Lh'_i^l += (sc/sp)^i sum conj(Rh_{j-i}^{k-l}(u; sp)) Lh_j^k
-///   M2I:  W_d(k,j) = (w_k / M_k) sum_n lam_k^n sum_m (-i)^{|m|} e^{im a_j}
+///   M2I:  W_d(k,j) = (w_k / M_k) sum_n lam_k^n sum_m (-i)^m e^{im a_j}
 ///                    rot_d(Mh)_n^m
 ///   I2I:  diagonal multiply by e^{-mu_k dz'} e^{i lam_k (dx' c + dy' s)}
-///   I2L:  Lrot_n^m = sum_k (-lam_k)^n (-i)^{|m|} sum_j W(k,j) e^{im a_j},
+///   I2L:  Lrot_n^m = sum_k (-lam_k)^n (-i)^m sum_j W(k,j) e^{im a_j},
 ///         then rotate back.
-class LaplaceKernel final : public Kernel {
+class LaplaceKernel final : public PlaneWaveKernel {
  public:
   std::string name() const override { return "laplace"; }
   void setup(double domain_size, int max_level, int accuracy_digits) override;
 
   std::size_t m_count(int) const override { return sq_count(p_); }
   std::size_t l_count(int) const override { return sq_count(p_); }
-  std::size_t x_count(int) const override { return quad_.total; }
   std::size_t m_wire_bytes(int) const override { return wire_bytes(p_); }
   std::size_t l_wire_bytes(int) const override { return wire_bytes(p_); }
-  bool supports_merge_and_shift() const override { return true; }
 
   // Solid-harmonic bases: c_n^{-m} = (-1)^m conj(c_n^m) on the wire.
   void pack_m(const CoeffVec& full, int, std::byte* out) const override {
@@ -82,19 +77,10 @@ class LaplaceKernel final : public Kernel {
   Vec3 l2t_grad(const CoeffVec& in, const Vec3& center, int level,
                 const Vec3& t) const override;
 
-  void m2i(const CoeffVec& m, int level, Axis d, CoeffVec& out) const override;
-  void i2i_acc(const CoeffVec& in, Axis d, const Vec3& offset, int level,
-               CoeffVec& inout) const override;
-  void i2l_acc(const CoeffVec& in, Axis d, int level,
-               CoeffVec& inout) const override;
-
   /// The dense O(p^4) M2L: m2l_acc's fallback for offsets outside the
   /// rotation set, and the reference the rotation path is tested against.
   void m2l_naive(const CoeffVec& in, const Vec3& from, const Vec3& to,
                  int level, CoeffVec& inout) const;
-
-  int order() const { return p_; }
-  const PlaneWaveQuadrature& quadrature() const { return quad_; }
 
  private:
   double scale(int level) const;
@@ -103,13 +89,10 @@ class LaplaceKernel final : public Kernel {
 
   int p_ = 9;
   double domain_size_ = 1.0;
-  PlaneWaveQuadrature quad_;
   M2LRotationSet m2l_rot_;
   // Per distance class: F_l = l! / |nu|^{l+1} for l = 0..2p, the axial
   // irregular-solid values (level independent in box units).
   std::vector<std::vector<double>> m2l_axial_;
-  std::array<AngularTransform, 6> fwd_;  // indexed by Axis
-  std::array<AngularTransform, 6> inv_;
   std::vector<double> g_multipole_;  // S-basis angular weights
   std::vector<double> g_local_;      // conj(R)-basis angular weights
 };

@@ -1,10 +1,7 @@
 #pragma once
 
-#include <array>
-
-#include "kernels/kernel.hpp"
+#include "kernels/planewave_kernel.hpp"
 #include "math/m2l_rotation.hpp"
-#include "math/planewave.hpp"
 #include "math/sphere.hpp"
 
 namespace amtfmm {
@@ -32,7 +29,7 @@ namespace amtfmm {
 /// expansion: A_n^m evaluated at the complex direction
 /// (-i lam cos a, -i lam sin a, mu)/kappa, which reduces to associated
 /// Legendre functions at real argument mu/kappa > 1.
-class YukawaKernel final : public Kernel {
+class YukawaKernel final : public PlaneWaveKernel {
  public:
   explicit YukawaKernel(double lambda) : kappa_(lambda) {}
 
@@ -41,13 +38,8 @@ class YukawaKernel final : public Kernel {
 
   std::size_t m_count(int) const override { return sq_count(p_); }
   std::size_t l_count(int) const override { return sq_count(p_); }
-  std::size_t x_count(int level) const override {
-    if (quads_.empty()) return 0;  // not set up yet
-    return quads_[static_cast<std::size_t>(clamped(level))].total;
-  }
   std::size_t m_wire_bytes(int) const override { return wire_bytes(p_); }
   std::size_t l_wire_bytes(int) const override { return wire_bytes(p_); }
-  bool supports_merge_and_shift() const override { return true; }
 
   // Gamma-weighted angular bases: c_n^{-m} = conj(c_n^m) on the wire.
   void pack_m(const CoeffVec& full, int, std::byte* out) const override {
@@ -85,19 +77,10 @@ class YukawaKernel final : public Kernel {
   double l2t(const CoeffVec& in, const Vec3& center, int level,
              const Vec3& t) const override;
 
-  void m2i(const CoeffVec& m, int level, Axis d, CoeffVec& out) const override;
-  void i2i_acc(const CoeffVec& in, Axis d, const Vec3& offset, int level,
-               CoeffVec& inout) const override;
-  void i2l_acc(const CoeffVec& in, Axis d, int level,
-               CoeffVec& inout) const override;
-
   /// The dense M2L: m2l_acc's fallback for offsets outside the rotation
   /// set, and the reference the rotation path is tested against.
   void m2l_naive(const CoeffVec& in, const Vec3& from, const Vec3& to,
                  int level, CoeffVec& inout) const;
-
-  int order() const { return p_; }
-  double lambda() const { return kappa_; }
 
  private:
   int clamped(int level) const;
@@ -119,12 +102,8 @@ class YukawaKernel final : public Kernel {
   double domain_size_ = 1.0;
   int max_level_ = 0;
   double eps_ = 1e-4;
-  std::vector<PlaneWaveQuadrature> quads_;       // per level
   std::vector<std::vector<double>> inorm_;       // per level: i_n(kappa w)
-  std::vector<std::vector<double>> phyp_;        // per level: P_n^m(mu_k/kt), k-major
   std::vector<double> gamma_;                    // (2n+1)(n-|m|)!/(n+|m|)!
-  std::array<AngularTransform, 6> fwd_;
-  std::array<AngularTransform, 6> inv_;
   std::vector<double> g_unit_;   // all-ones basis weight (multipole basis)
   SphereRule proj_rule_{1};      // projection rule for numeric translations
   M2LRotationSet m2l_rot_;
